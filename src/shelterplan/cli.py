@@ -209,16 +209,14 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
 @click.option("--time-limit", type=float, default=None)
 @click.option("--node-limit", type=int, default=1_000_000, show_default=True)
 @click.option("--threads", type=int, default=1, show_default=True)
-@click.option("--branching", type=click.Choice(["most_fractional", "pseudo_cost"]),
-              default="most_fractional", show_default=True)
 @click.option("--mps-out", type=click.Path(), default=None)
-def solve(instance_path, out, gap, time_limit, node_limit, threads, branching, mps_out) -> None:
+def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> None:
     """Solve an instance to the requested gap and verify the incumbent."""
     t0 = time.monotonic()
     args = {
         "instance": os.path.basename(instance_path), "gap": gap,
         "time_limit": time_limit, "node_limit": node_limit,
-        "threads": threads, "branching": branching,
+        "threads": threads,
     }
     try:
         instance = load_instance(instance_path)
@@ -228,8 +226,7 @@ def solve(instance_path, out, gap, time_limit, node_limit, threads, branching, m
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     config = SolverConfig(
-        rel_gap=gap, time_limit=time_limit, node_limit=node_limit,
-        threads=threads, branching_rule=branching,
+        rel_gap=gap, time_limit=time_limit, node_limit=node_limit, threads=threads,
     )
     outputs = []
     if mps_out:
@@ -300,8 +297,6 @@ def _write_csv(path: str, rows: list[list]) -> None:
 
 def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     """The figure-level data tables for one solved instance."""
-    from .scenarios import _solution_tables
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     categories = list(instance.services.categories())
@@ -319,18 +314,12 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     _write_csv(path, rows)
     paths.append(path)
 
-    x, e, o = _solution_tables(instance, solution)
     pct = expansion_percentages(instance, solution)
     rows = [["organization", "existing_beds", "peak_extra", "peak_overflow", "pct_increase"]]
     for org in instance.housing_orgs():
-        cap = org.capacity(BED_SERVICE_ID, 1)
-        peak_e = max((v for (s, i, t), v in e.items()
-                      if s == org.id and i == BED_SERVICE_ID), default=0)
-        peak_o = max((v for (s, i, t), v in o.items()
-                      if s == org.id and i == BED_SERVICE_ID), default=0)
         val = pct["per_org"][org.id]
-        rows.append([org.id, cap, peak_e, peak_o,
-                     "NA" if val is None else f"{val:.2f}"])
+        rows.append([org.id, org.capacity(BED_SERVICE_ID, 1), pct["peak_extra"][org.id],
+                     pct["peak_overflow"][org.id], "NA" if val is None else f"{val:.2f}"])
     rows.append(["system_average", "", "", "", f"{pct['system_average']:.2f}"])
     path = os.path.join(out_dir, "expansion_percentages.csv")
     _write_csv(path, rows)

@@ -31,7 +31,7 @@ the full [a, min(b + d, T)].
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +47,10 @@ SENSE_GE = ">="
 SENSE_EQ = "="
 
 KIND_ORDER = {"U": 0, "X": 1, "E": 2, "O": 3}
+
+# Index letters that key each kind's values: U (y, s, i), X (y, s, i, t),
+# E and O (s, i, t).
+KEY_FIELDS = {"U": "ysi", "X": "ysit", "E": "sit", "O": "sit"}
 
 
 class VariableRef(NamedTuple):
@@ -77,6 +81,20 @@ def parse_variable_name(name: str) -> tuple[str, dict[str, int]]:
     return kind, indices
 
 
+def index_values(values: Mapping[str, float]) -> dict[str, dict[tuple[int, ...], float]]:
+    """Group named values by kind, each keyed by its KEY_FIELDS index tuple.
+
+    Names of other kinds are skipped; callers filter the values first.
+    """
+    tables: dict[str, dict[tuple[int, ...], float]] = {kind: {} for kind in KEY_FIELDS}
+    for name, v in values.items():
+        kind, idx = parse_variable_name(name)
+        fields = KEY_FIELDS.get(kind)
+        if fields is not None:
+            tables[kind][tuple(idx[f] for f in fields)] = v
+    return tables
+
+
 class LinearProgram:
     """Annotated sparse model: objective, rows, bounds, integrality."""
 
@@ -99,6 +117,8 @@ class LinearProgram:
         self.x_cols: dict[tuple[int, int, int], dict[int, int]] = {}
         self.e_cols: dict[tuple[int, int, int], int] = {}
         self.o_cols: dict[tuple[int, int, int], int] = {}
+        # X columns of each (s, i, t), the load that its E/O columns cover.
+        self.x_by_triple: dict[tuple[int, int, int], list[int]] = {}
         self.need_orgs: dict[tuple[int, int], list[int]] = {}
         self._scipy_cache = None
 
@@ -318,7 +338,7 @@ class ModelBuilder:
             )
 
         # (2a)/(2b): per-day capacity and headroom on used triples.
-        x_by_triple: dict[tuple[int, int, int], list[int]] = {t: [] for t in triples}
+        x_by_triple = lp.x_by_triple = {t: [] for t in triples}
         for (y, s, i), tmap in lp.x_cols.items():
             for t, col in tmap.items():
                 x_by_triple[(s, i, t)].append(col)

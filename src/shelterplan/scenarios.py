@@ -28,7 +28,7 @@ from .domain import (
     REFERRAL,
     ProblemInstance,
 )
-from .model import build
+from .model import build, index_values
 from .solver import Solution, SolverConfig, branch_and_bound, verify
 
 DESK_BASE = GenerationConfig(n_youth=50, horizon_T=60, bed_scale=0.1)
@@ -76,23 +76,11 @@ def experiment_grid(
 
 
 def _solution_tables(instance: ProblemInstance, solution: Solution):
-    """Index the solution values by structured keys."""
-    from .model import parse_variable_name
-
-    x: dict[tuple[int, int, int, int], int] = {}
-    e: dict[tuple[int, int, int], int] = {}
-    o: dict[tuple[int, int, int], int] = {}
-    for name, v in solution.values.items():
-        if v < 0.5:
-            continue
-        kind, idx = parse_variable_name(name)
-        if kind == "X":
-            x[(idx["y"], idx["s"], idx["i"], idx["t"])] = int(round(v))
-        elif kind == "E":
-            e[(idx["s"], idx["i"], idx["t"])] = int(round(v))
-        elif kind == "O":
-            o[(idx["s"], idx["i"], idx["t"])] = int(round(v))
-    return x, e, o
+    """The X, E and O values of at least 0.5, rounded, by structured keys."""
+    tables = index_values(
+        {name: int(round(v)) for name, v in solution.values.items() if not v < 0.5}
+    )
+    return tables["X"], tables["E"], tables["O"]
 
 
 def overflow_timeseries(
@@ -153,29 +141,41 @@ def bed_sources(instance: ProblemInstance, solution: Solution) -> dict:
     return {"per_org": per_org, "incompatibility": psi_count, "served": len(youth_org)}
 
 
+def _bed_peaks(table: Mapping[tuple[int, int, int], int], org_ids) -> dict[int, int]:
+    """Largest daily bed value of each given organization (0 if none)."""
+    peaks = dict.fromkeys(org_ids, 0)
+    for (s, i, t), v in table.items():
+        if i == BED_SERVICE_ID and s in peaks:
+            peaks[s] = max(peaks[s], v)
+    return peaks
+
+
 def expansion_percentages(instance: ProblemInstance, solution: Solution) -> dict:
-    """Peak (extra beds + overflow referrals) relative to existing beds, per org."""
-    x, e, o = _solution_tables(instance, solution)
+    """Peak (extra beds + overflow referrals) relative to existing beds, per org.
+
+    Also returns each housing organization's ``peak_extra`` and
+    ``peak_overflow`` beds.
+    """
+    _, e, o = _solution_tables(instance, solution)
+    org_ids = [org.id for org in instance.housing_orgs()]
+    peak_extra, peak_overflow = _bed_peaks(e, org_ids), _bed_peaks(o, org_ids)
     out: dict[int, float | None] = {}
     values = []
     for org in instance.housing_orgs():
         cap = org.capacity(BED_SERVICE_ID, 1)
-        peak_e = max(
-            (v for (s, i, t), v in e.items() if s == org.id and i == BED_SERVICE_ID),
-            default=0,
-        )
-        peak_o = max(
-            (v for (s, i, t), v in o.items() if s == org.id and i == BED_SERVICE_ID),
-            default=0,
-        )
         if cap <= 0:
             out[org.id] = None
             continue
-        pct = 100.0 * (peak_e + peak_o) / cap
+        pct = 100.0 * (peak_extra[org.id] + peak_overflow[org.id]) / cap
         out[org.id] = pct
         values.append(pct)
     system = float(np.mean(values)) if values else 0.0
-    return {"per_org": out, "system_average": system}
+    return {
+        "per_org": out,
+        "system_average": system,
+        "peak_extra": peak_extra,
+        "peak_overflow": peak_overflow,
+    }
 
 
 def service_source_breakdown(instance: ProblemInstance, solution: Solution) -> dict:

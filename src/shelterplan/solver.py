@@ -2,9 +2,13 @@
 
 The LP relaxations are solved with scipy's HiGHS interface; the search,
 branching, incumbent handling and stopping rule live here. A schedule-aware
-greedy heuristic provides the first incumbent, and every incumbent has its
-expansion/overflow variables recomputed to the cheapest feasible split
-before acceptance.
+greedy heuristic provides the first incumbent.
+
+One rule prices a day's load at an organization, ``cheapest_split``: the
+load above existing capacity goes to extra in-house units (cost gamma, at
+most mu - c of them) when those are no dearer than overflow (cost lambda),
+and the rest to the overflow shelter. Incumbent repair, the heuristic's
+marginal cost and the brute-force oracle all use it.
 
 The verifier re-checks every constraint family directly against the problem
 instance (never against the matrix), so model-construction bugs cannot
@@ -29,11 +33,12 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .domain import (
+    OrganizationProfile,
     ProblemInstance,
     demographic_compatible,
     service_offered,
 )
-from .model import SENSE_EQ, SENSE_LE, LinearProgram, parse_variable_name
+from .model import SENSE_EQ, SENSE_LE, LinearProgram, index_values
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -44,6 +49,7 @@ STATUS_INFEASIBLE = "Infeasible"
 LP_OPTIMAL = "optimal"
 LP_INFEASIBLE = "infeasible"
 LP_UNBOUNDED = "unbounded"
+LP_LIMIT = "limit"
 
 
 class SolverError(RuntimeError):
@@ -63,7 +69,6 @@ class SolverConfig:
     rel_gap: float = 0.01
     time_limit: float | None = None
     node_limit: int = 1_000_000
-    branching_rule: str = "most_fractional"  # or "pseudo_cost"
     lp_tolerance: float = 1e-7
     integrality_eps: float = 1e-6
     threads: int = 1
@@ -74,8 +79,6 @@ class SolverConfig:
             raise ValueError("rel_gap must be >= 0")
         if self.lp_tolerance <= 0 or self.integrality_eps <= 0:
             raise ValueError("tolerances must be positive")
-        if self.branching_rule not in ("most_fractional", "pseudo_cost"):
-            raise ValueError(f"unknown branching rule {self.branching_rule!r}")
 
 
 @dataclass
@@ -143,8 +146,13 @@ def solve_lp(
     lp: LinearProgram,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
     config: SolverConfig | None = None,
+    time_limit: float | None = None,
 ) -> LpResult:
-    """Solve the LP relaxation; deterministic for identical input."""
+    """Solve the LP relaxation; deterministic for identical input.
+
+    ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
+    returns LP_LIMIT.
+    """
     config = config or SolverConfig()
     if lp.n_cols == 0:
         rhs = np.asarray(lp.rhs, dtype=float)
@@ -163,6 +171,12 @@ def solve_lp(
 
     c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
+    options = {
+        "primal_feasibility_tolerance": config.lp_tolerance,
+        "dual_feasibility_tolerance": config.lp_tolerance,
+    }
+    if time_limit is not None:
+        options["time_limit"] = time_limit
     res = linprog(
         c,
         A_ub=A_ub,
@@ -171,13 +185,12 @@ def solve_lp(
         b_eq=b_eq,
         bounds=np.column_stack([lb, ub]),
         method="highs",
-        options={
-            "primal_feasibility_tolerance": config.lp_tolerance,
-            "dual_feasibility_tolerance": config.lp_tolerance,
-        },
+        options=options,
     )
     if res.status == 0:
         return LpResult(LP_OPTIMAL, float(res.fun), np.asarray(res.x))
+    if res.status == 1 and time_limit is not None:
+        return LpResult(LP_LIMIT, -math.inf, None)
     if res.status == 2:
         return LpResult(LP_INFEASIBLE, math.inf, None)
     if res.status == 3:
@@ -190,40 +203,28 @@ def solve_lp(
 # ---------------------------------------------------------------------------
 
 
-def _triple_index(lp: LinearProgram) -> dict[tuple[int, int, int], list[int]]:
-    by_triple: dict[tuple[int, int, int], list[int]] = {k: [] for k in lp.e_cols}
-    for (y, s, i), tmap in lp.x_cols.items():
-        for t, col in tmap.items():
-            by_triple[(s, i, t)].append(col)
-    return by_triple
+def cheapest_split(org: OrganizationProfile, i: int, t: int, load: int) -> tuple[int, int]:
+    """Extra in-house units and overflow referrals that cover ``load`` at least cost.
 
-
-def repair_expansion(lp: LinearProgram, x: np.ndarray, by_triple=None) -> np.ndarray:
-    """Recompute E/O as the cheapest split covering the assigned load.
-
-    For each (s, i, t): the load above existing capacity is met by the
-    cheaper of expansion and overflow first (expansion capped at mu - c).
-    Returns a copy with integral E/O values.
+    The load above existing capacity c goes to extra units, up to the
+    headroom mu - c, when they cost no more than overflow (gamma <= lambda);
+    the rest overflows.
     """
-    inst = lp.source_instance
-    org_by_id = {o.id: o for o in inst.organizations}
-    if by_triple is None:
-        by_triple = _triple_index(lp)
+    cap = org.capacity(i, t)
+    over = max(0, load - cap)
+    if org.cost_expand_gamma.get(i, 0.0) <= org.cost_overflow_lambda.get(i, 0.0):
+        e = min(over, org.headroom(i) - cap)
+        return e, over - e
+    return 0, over
+
+
+def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """Copy of ``x`` whose E/O values are the cheapest split of each assigned load."""
+    org_by_id = {o.id: o for o in lp.source_instance.organizations}
     out = x.copy()
-    for (s, i, t), cols in by_triple.items():
+    for (s, i, t), cols in lp.x_by_triple.items():
         load = int(round(sum(float(out[c]) for c in cols)))
-        org = org_by_id[s]
-        cap = org.capacity(i, t)
-        mu = org.headroom(i)
-        over = max(0, load - cap)
-        gamma = org.cost_expand_gamma.get(i, 0.0)
-        lam = org.cost_overflow_lambda.get(i, 0.0)
-        if gamma <= lam:
-            e = min(over, mu - cap)
-            o = over - e
-        else:
-            o = over
-            e = 0
+        e, o = cheapest_split(org_by_id[s], i, t, load)
         out[lp.e_cols[(s, i, t)]] = float(e)
         out[lp.o_cols[(s, i, t)]] = float(o)
     return out
@@ -264,17 +265,25 @@ class _LoadTracker:
     def __init__(self, instance: ProblemInstance):
         self.org_by_id = {o.id: o for o in instance.organizations}
         self.loads: dict[tuple[int, int, int], int] = {}
+        # Marginal cost by (s, i, t, load); it depends on nothing else.
+        self._marginals: dict[tuple[int, int, int, int], float] = {}
 
     def marginal(self, s: int, i: int, t: int) -> float:
-        org = self.org_by_id[s]
+        """Cost of one more unit: r plus the change in the cheapest split's cost."""
         load = self.loads.get((s, i, t), 0)
-        r = org.cost_assign_r.get(i, 0.0)
-        cap = org.capacity(i, t)
-        if load < cap:
-            return r
-        if load < org.headroom(i):
-            return r + org.cost_expand_gamma.get(i, 0.0)
-        return r + org.cost_overflow_lambda.get(i, 0.0)
+        key = (s, i, t, load)
+        cost = self._marginals.get(key)
+        if cost is None:
+            org = self.org_by_id[s]
+            e0, o0 = cheapest_split(org, i, t, load)
+            e1, o1 = cheapest_split(org, i, t, load + 1)
+            # Priced per changed unit, not as a difference of two totals, so
+            # a unit costs exactly gamma or lambda.
+            cost = self._marginals[key] = org.cost_assign_r.get(i, 0.0) + (
+                org.cost_expand_gamma.get(i, 0.0) * (e1 - e0)
+                + org.cost_overflow_lambda.get(i, 0.0) * (o1 - o0)
+            )
+        return cost
 
     def commit(self, s: int, i: int, days: Iterable[int], sign: int = 1) -> None:
         for t in days:
@@ -511,14 +520,8 @@ def _extend_with_stay_vars(lp: LinearProgram):
     return slp, stay_cols
 
 
-def _select_branch_var(
-    lp: LinearProgram,
-    x: np.ndarray,
-    eps: float,
-    rule: str,
-    pseudo: dict[int, list[float]] | None,
-) -> int | None:
-    """Pick the branching column: fractional U first, then X, then E/O."""
+def _select_branch_var(lp: LinearProgram, x: np.ndarray, eps: float) -> int | None:
+    """Pick the most fractional column: fractional U first, then X, then E/O."""
     frac = np.abs(x - np.round(x))
     is_frac = (np.asarray(lp.is_integer, dtype=bool) & (frac > eps)).nonzero()[0]
     if is_frac.size == 0:
@@ -527,13 +530,7 @@ def _select_branch_var(
     for col in is_frac:
         kind = lp.col_refs[col].kind
         tier = 0 if kind == "U" else (1 if kind == "X" else 2)
-        f = frac[col]
-        if rule == "pseudo_cost" and pseudo is not None and col in pseudo:
-            down, up, n = pseudo[col]
-            score = -((down / max(n, 1)) * f + (up / max(n, 1)) * (1.0 - f))
-        else:
-            score = abs(f - 0.5)
-        rank = (tier, score, col)
+        rank = (tier, abs(frac[col] - 0.5), col)
         if best_rank is None or rank < best_rank:
             best_rank, best_col = rank, int(col)
     return best_col
@@ -565,7 +562,6 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                 frequencies[(youth.id, need.service)] = need.frequency_f
 
     root_lb, root_ub = slp.bounds_arrays()
-    by_triple = _triple_index(lp) if inst is not None else None
     int_mask_pub = np.asarray(lp.is_integer) if n_pub else np.zeros(0, dtype=bool)
 
     best_x: np.ndarray | None = None
@@ -576,7 +572,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         xr = np.asarray(x)[:n_pub].copy()
         xr[int_mask_pub] = np.round(xr[int_mask_pub])
         if inst is not None:
-            xr = repair_expansion(lp, xr, by_triple)
+            xr = repair_expansion(lp, xr)
         obj = float(np.dot(lp.obj, xr)) if n_pub else 0.0
         if obj < best_obj - 1e-9:
             if inst is not None:
@@ -603,11 +599,9 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             pass
 
     seq = itertools.count()
-    # Heap entries: (parent bound, tiebreak, patch dict col -> (lb, ub),
-    # pseudo-cost bookkeeping for the branch that created the node).
-    heap: list[tuple] = [(-math.inf, next(seq), {}, None)]
+    # Heap entries: (parent bound, tiebreak, patch dict col -> (lb, ub)).
+    heap: list[tuple] = [(-math.inf, next(seq), {})]
     dive: list[tuple] = []
-    pseudo: dict[int, list[float]] = {}
     node_count = 0
     status = None
     best_bound = -math.inf
@@ -652,15 +646,24 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                 ub = root_ub.copy()
                 for col, (lo, hi) in patch.items():
                     lb[col], ub[col] = lo, hi
-                return solve_lp(slp, bounds=(lb, ub), config=config)
+                remaining = None
+                if config.time_limit is not None:
+                    remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
+                return solve_lp(slp, bounds=(lb, ub), config=config, time_limit=remaining)
 
             if pool is not None and len(batch) > 1:
                 results = list(pool.map(_solve, batch))
             else:
                 results = [_solve(entry) for entry in batch]
 
-            for (parent_bound, _, patch, pc_info), res in zip(batch, results):
+            for entry, res in zip(batch, results):
+                patch = entry[2]
                 node_count += 1
+                if res.status == LP_LIMIT:
+                    # The node stays open, so its parent bound still counts.
+                    heapq.heappush(heap, entry)
+                    status = STATUS_TIME
+                    continue
                 if res.status == LP_INFEASIBLE:
                     if node_count == 1 and not patch:
                         saw_infeasible_root = True
@@ -669,15 +672,6 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                     raise SolverError("LP relaxation unbounded; model bounds missing")
                 node_bound = res.objective
                 best_bound = max(best_bound, min(node_bound, best_obj))
-                if pc_info is not None and parent_bound > -math.inf:
-                    col, direction, frac = pc_info
-                    gain = max(0.0, node_bound - parent_bound)
-                    stats = pseudo.setdefault(col, [0.0, 0.0, 0.0])
-                    if direction == "down":
-                        stats[0] += gain / max(frac, 1e-9)
-                    else:
-                        stats[1] += gain / max(1.0 - frac, 1e-9)
-                    stats[2] += 1.0
                 if config.check_weak_duality and best_obj < math.inf:
                     ob = min(open_bound(), node_bound)
                     if ob > best_obj + 1e-6:
@@ -689,29 +683,28 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                     guided_incumbent(x)
                     if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
                         continue
-                branch_col = _select_branch_var(
-                    slp, x, config.integrality_eps, config.branching_rule, pseudo
-                )
+                branch_col = _select_branch_var(slp, x, config.integrality_eps)
                 if branch_col is None:
                     try_incumbent(x)
                     continue
                 v = float(x[branch_col])
-                frac = v - math.floor(v)
                 floor_patch = dict(patch)
                 lo0, hi0 = floor_patch.get(branch_col, (root_lb[branch_col], root_ub[branch_col]))
                 floor_patch[branch_col] = (lo0, float(math.floor(v)))
                 ceil_patch = dict(patch)
                 ceil_patch[branch_col] = (float(math.ceil(v)), hi0)
                 children = [
-                    (node_bound, next(seq), floor_patch, (branch_col, "down", frac)),
-                    (node_bound, next(seq), ceil_patch, (branch_col, "up", frac)),
+                    (node_bound, next(seq), floor_patch),
+                    (node_bound, next(seq), ceil_patch),
                 ]
                 # Dive toward the side the LP value leans to; the sibling
                 # goes to the best-bound heap.
-                if frac >= 0.5:
+                if v - math.floor(v) >= 0.5:
                     children.reverse()
                 heapq.heappush(heap, children[0])
                 dive.append(children[1])
+            if status == STATUS_TIME:
+                break
     finally:
         if pool is not None:
             pool.shutdown(wait=False)
@@ -809,26 +802,6 @@ class VerifyReport:
         }
 
 
-def _parse_values(values: Mapping[str, float]):
-    u_vals: dict[tuple[int, int, int], float] = {}
-    x_vals: dict[tuple[int, int, int, int], float] = {}
-    e_vals: dict[tuple[int, int, int], float] = {}
-    o_vals: dict[tuple[int, int, int], float] = {}
-    for name, v in values.items():
-        if abs(v) < 1e-9:
-            continue
-        kind, idx = parse_variable_name(name)
-        if kind == "U":
-            u_vals[(idx["y"], idx["s"], idx["i"])] = v
-        elif kind == "X":
-            x_vals[(idx["y"], idx["s"], idx["i"], idx["t"])] = v
-        elif kind == "E":
-            e_vals[(idx["s"], idx["i"], idx["t"])] = v
-        elif kind == "O":
-            o_vals[(idx["s"], idx["i"], idx["t"])] = v
-    return u_vals, x_vals, e_vals, o_vals
-
-
 def verify(
     instance: ProblemInstance,
     values: Mapping[str, float] | Solution,
@@ -845,7 +818,8 @@ def verify(
         if claimed_objective is None:
             claimed_objective = values.objective
         values = values.values
-    u_vals, x_vals, e_vals, o_vals = _parse_values(values)
+    tables = index_values({name: v for name, v in values.items() if not abs(v) < 1e-9})
+    u_vals, x_vals, e_vals, o_vals = tables["U"], tables["X"], tables["E"], tables["O"]
 
     family_ok = {fam: True for fam in FAMILIES}
     first: dict[str, str | None] = {fam: None for fam in FAMILIES}
@@ -861,10 +835,19 @@ def verify(
     catalog = instance.services
     T = instance.horizon_T
 
-    # Assignment loads per (s, i, t) for the capacity checks.
+    # One pass over the values: assignment loads per (s, i, t) for the
+    # capacity checks, and the occurrences (t, s) and serving organizations
+    # of each (youth, service).
     loads: dict[tuple[int, int, int], int] = {}
-    for (y, s, i, t), v in sorted(x_vals.items()):
+    occ_by_need: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (y, s, i, t), v in x_vals.items():
         loads[(s, i, t)] = loads.get((s, i, t), 0) + int(round(v))
+        if v > 0.5:
+            occ_by_need.setdefault((y, i), []).append((t, s))
+    u_by_need: dict[tuple[int, int], set[int]] = {}
+    for (y, s, i), v in u_vals.items():
+        if v > 0.5:
+            u_by_need.setdefault((y, i), set()).add(s)
 
     for youth in instance.youths:
         for need in youth.needs:
@@ -876,15 +859,9 @@ def verify(
                 need.duration_d,
                 need.frequency_f,
             )
-            occ: list[tuple[int, int]] = []  # (t, s)
-            for (yy, s, ii, t), v in x_vals.items():
-                if yy == youth.id and ii == i and v > 0.5:
-                    occ.append((t, s))
-            occ.sort()
+            occ = sorted(occ_by_need.get((youth.id, i), ()))
             orgs_used = sorted({s for _, s in occ})
-            u_orgs = sorted(
-                {s for (yy, s, ii), v in u_vals.items() if yy == youth.id and ii == i and v > 0.5}
-            )
+            u_orgs = sorted(u_by_need.get((youth.id, i), ()))
 
             if len(u_orgs) > 1:
                 flag("2c", f"y={youth.id},i={i}")
@@ -1014,14 +991,6 @@ def enumerate_schedules(need, periodic: bool, k: int, horizon_T: int) -> list[tu
     return out
 
 
-def _capacity_cost(load: int, cap: int, mu: int, gamma: float, lam: float) -> float:
-    over = max(0, load - cap)
-    if gamma <= lam:
-        e = min(over, mu - cap)
-        return gamma * e + lam * (over - e)
-    return lam * over
-
-
 def brute_force(
     instance: ProblemInstance,
     limit: float = 1e7,
@@ -1085,12 +1054,10 @@ def brute_force(
                     loads[(s, t)] = loads.get((s, t), 0) + 1
             for (s, t), load in loads.items():
                 org = org_by_id[s]
-                cost += _capacity_cost(
-                    load,
-                    org.capacity(i, t),
-                    org.headroom(i),
-                    org.cost_expand_gamma.get(i, 0.0),
-                    org.cost_overflow_lambda.get(i, 0.0),
+                e, o = cheapest_split(org, i, t, load)
+                cost += (
+                    org.cost_expand_gamma.get(i, 0.0) * e
+                    + org.cost_overflow_lambda.get(i, 0.0) * o
                 )
             if cost < best_cost - 1e-9:
                 best_cost = cost
@@ -1117,22 +1084,13 @@ def brute_force(
     decomposition = {"assignment": 0.0, "expansion": 0.0, "overflow": 0.0}
     for (s, i, t), load in sorted(loads_all.items()):
         org = org_by_id[s]
-        cap = org.capacity(i, t)
-        mu = org.headroom(i)
-        gamma = org.cost_expand_gamma.get(i, 0.0)
-        lam = org.cost_overflow_lambda.get(i, 0.0)
-        over = max(0, load - cap)
-        if gamma <= lam:
-            e = min(over, mu - cap)
-            o = over - e
-        else:
-            e, o = 0, over
+        e, o = cheapest_split(org, i, t, load)
         if e:
             values[f"E_s{s}_i{i}_t{t}"] = float(e)
-            decomposition["expansion"] += gamma * e
+            decomposition["expansion"] += org.cost_expand_gamma.get(i, 0.0) * e
         if o:
             values[f"O_s{s}_i{i}_t{t}"] = float(o)
-            decomposition["overflow"] += lam * o
+            decomposition["overflow"] += org.cost_overflow_lambda.get(i, 0.0) * o
         decomposition["assignment"] += org.cost_assign_r.get(i, 0.0) * load
     solution = Solution(
         values=values,

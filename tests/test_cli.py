@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from shelterplan.cli import main
+from shelterplan.domain import BED_SERVICE_ID
+from shelterplan.model import parse_variable_name
 
 
 def digest(path):
@@ -174,6 +176,21 @@ class TestBuildAndReport:
 
             series = list(csv.reader(open("rep/overflow_timeseries.csv")))
             assert len(series) == 1 + 30
+
+            # Peak E/O columns are the largest daily bed values in the solution.
+            peaks = {}
+            for name, v in json.load(open("sol.json"))["values"].items():
+                kind, idx = parse_variable_name(name)
+                if kind in ("E", "O") and idx["i"] == BED_SERVICE_ID:
+                    key = (kind, idx["s"])
+                    peaks[key] = max(peaks.get(key, 0), int(round(v)))
+            expansion = list(csv.DictReader(open("rep/expansion_percentages.csv")))
+            assert expansion[-1]["organization"] == "system_average"
+            assert len(expansion) == 8 + 1
+            for row in expansion[:-1]:
+                s = int(row["organization"])
+                assert int(row["peak_extra"]) == peaks.get(("E", s), 0)
+                assert int(row["peak_overflow"]) == peaks.get(("O", s), 0)
 
 
 class TestScenario:

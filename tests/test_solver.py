@@ -1,12 +1,16 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from shelterplan import solver
+from shelterplan.datagen import GenerationConfig, generate_instance
 from shelterplan.domain import ServiceIntensity, ServiceNeed
 from shelterplan.model import LinearProgram, build
 from shelterplan.solver import (
     LP_INFEASIBLE,
+    LP_LIMIT,
     LP_OPTIMAL,
     STATUS_GAP,
     STATUS_INFEASIBLE,
@@ -17,7 +21,9 @@ from shelterplan.solver import (
     SolverConfig,
     branch_and_bound,
     brute_force,
+    cheapest_split,
     enumerate_schedules,
+    schedule_heuristic,
     solve_lp,
     verify,
 )
@@ -36,6 +42,11 @@ def hand_lp():
         lp.add_col("X", y=1, s=1, i=1, t=j + 1, obj=-1.0, lb=0.0, ub=1.0, integer=False)
     lp.add_row("CAP", "2a", "<=", 1.0, [0, 1, 2], [1.0, 1.0, 1.0])
     return lp
+
+
+def desk_lp():
+    inst = generate_instance(GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=7))
+    return inst, build(inst)
 
 
 class TestSolveLp:
@@ -76,6 +87,12 @@ class TestSolveLp:
         b = solve_lp(lp)
         assert a.objective == b.objective
         assert np.array_equal(a.x, b.x)
+
+    def test_time_limit_returns_limit_status(self):
+        _, lp = desk_lp()
+        res = solve_lp(lp, time_limit=0.0)
+        assert res.status == LP_LIMIT
+        assert res.x is None
 
 
 class TestBranchAndBound:
@@ -152,13 +169,19 @@ class TestBranchAndBound:
         assert sol.status == STATUS_TIME
         assert math.isfinite(sol.objective)  # heuristic incumbent exists
 
-    def test_pseudo_cost_rule_matches_optimum(self, micro_pool):
-        inst = micro_pool[0]
-        bf = brute_force(inst)
-        sol = branch_and_bound(
-            build(inst), SolverConfig(rel_gap=0.0, branching_rule="pseudo_cost")
-        )
-        assert sol.objective == pytest.approx(bf.objective, abs=1e-6)
+    def test_time_limit_inside_root_lp_keeps_incumbent(self, monkeypatch):
+        # Each clock reading advances half the limit: the check before the
+        # root node passes, and the root LP is left 0 s, so HiGHS stops it.
+        readings = iter(np.arange(0.0, 100.0, 0.5))
+        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        inst, lp = desk_lp()
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, time_limit=1.0))
+        assert sol.status == STATUS_TIME
+        assert sol.node_count == 1
+        assert math.isfinite(sol.objective)
+        assert verify(inst, sol).ok
+        # The cut-short root stays open: nothing proves the incumbent optimal.
+        assert sol.bound < sol.objective
 
     def test_infeasible_without_catch_all(self):
         # The single organization rejects the youth and no catch-all exists.
@@ -172,6 +195,43 @@ class TestBranchAndBound:
         bf = brute_force(inst)
         assert sol.status == STATUS_INFEASIBLE
         assert bf.status == STATUS_INFEASIBLE
+
+
+class TestCheapestSplit:
+    # Capacity c = 2 and headroom mu = 4 for every case.
+    @pytest.mark.parametrize(
+        "gamma, lam, load, expected",
+        [
+            (5.0, 20.0, 1, (0, 0)),
+            (5.0, 20.0, 3, (1, 0)),
+            (5.0, 20.0, 6, (2, 2)),
+            (20.0, 20.0, 6, (2, 2)),
+            (30.0, 20.0, 1, (0, 0)),
+            (30.0, 20.0, 3, (0, 1)),
+            (30.0, 20.0, 6, (0, 4)),
+        ],
+    )
+    def test_split(self, gamma, lam, load, expected):
+        o = org(1, cap=2, head=2, gamma=gamma, lam=lam)
+        assert cheapest_split(o, 1, 1, load) == expected
+
+    def test_heuristic_marginals_sum_to_objective_when_expansion_dearer(self):
+        # Three fixed 3-day stays against one bed: two youth per day exceed
+        # capacity, and overflow (lambda 20) is cheaper than expansion (30).
+        inst = make_instance(
+            6, bed_catalog(), [youth(y, 1, [bed_need(3, 1, 1)]) for y in (1, 2, 3)],
+            [org(1, cap=1, head=1, gamma=30.0, lam=20.0), psi_org(2, [1])],
+        )
+        lp = build(inst)
+        x = schedule_heuristic(lp)
+        tracker = solver._LoadTracker(inst)
+        total = 0.0
+        for (y, s, i), tmap in lp.x_cols.items():
+            days = [t for t, col in tmap.items() if x[col] > 0.5]
+            total += sum(tracker.marginal(s, i, t) for t in days)
+            tracker.commit(s, i, days)
+        assert float(np.dot(lp.obj, x)) == pytest.approx(120.0)
+        assert total == pytest.approx(120.0)
 
 
 class TestVerifier:
