@@ -4,6 +4,13 @@ The LP relaxations are solved with scipy's HiGHS interface; the search,
 branching, incumbent handling and stopping rule live here. A schedule-aware
 greedy heuristic provides the first incumbent.
 
+The root node solves the whole LP relaxation. A child node re-solves only
+the service block of its branching column and keeps its parent's solution
+on every other block. This is exact: every row of the model involves one
+service only, so the LP is separable by service, the parent's optimal x is
+optimal on every block the branch left unchanged, and the child's value is
+the parent's value with block b's part replaced by the re-solved one.
+
 One rule prices a day's load at an organization, ``cheapest_split``: the
 load above existing capacity goes to extra in-house units (cost gamma, at
 most mu - c of them) when those are no dearer than overflow (cost lambda),
@@ -101,9 +108,9 @@ class Solution:
     def to_dict(self) -> dict:
         return {
             "schema_version": 1,
-            "objective": self.objective,
-            "bound": self.bound,
-            "gap": self.gap,
+            "objective": _json_number(self.objective),
+            "bound": _json_number(self.bound),
+            "gap": _json_number(self.gap),
             "status": self.status,
             "decomposition": dict(self.decomposition),
             "node_count": self.node_count,
@@ -111,7 +118,7 @@ class Solution:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Solution":
@@ -124,6 +131,11 @@ class Solution:
             decomposition=dict(doc.get("decomposition", {})),
             node_count=int(doc.get("node_count", 0)),
         )
+
+
+def _json_number(v: float) -> float | str:
+    """``v``, or the string "Infinity"/"-Infinity" that strict JSON allows instead."""
+    return v if math.isfinite(v) else ("Infinity" if v > 0 else "-Infinity")
 
 
 def load_solution(path: str) -> Solution:
@@ -169,8 +181,12 @@ def solve_lp(
             return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
         return LpResult(LP_INFEASIBLE, math.inf, None)
 
-    c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
+    return _highs(*lp.to_scipy(), lb, ub, config, time_limit)
+
+
+def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, config: SolverConfig, time_limit) -> LpResult:
+    """One ``linprog`` call: HiGHS options, time limit and status mapping."""
     options = {
         "primal_feasibility_tolerance": config.lp_tolerance,
         "dual_feasibility_tolerance": config.lp_tolerance,
@@ -196,6 +212,70 @@ def solve_lp(
     if res.status == 3:
         return LpResult(LP_UNBOUNDED, -math.inf, None)
     raise SolverError(f"LP solve failed: status={res.status} message={res.message!r}")
+
+
+class _ServiceBlocks:
+    """The columns and rows of an LP grouped into blocks that share no row.
+
+    Columns are labelled by service (``VariableRef.i``); services whose
+    columns meet in a row fall into one block, and each row belongs to the
+    block of its columns. A generated model has no row that spans two
+    services, so every service is its own block; a model with a linking
+    row gets fewer, larger blocks. Every block's slice of the LP is cut
+    here, so that worker threads only read it.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+        _, service = np.unique([ref.i for ref in lp.col_refs], return_inverse=True)
+        root = list(range(int(service.max()) + 1))
+
+        def find(a: int) -> int:
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            return a
+
+        # Column of each row's first nonzero, -1 for a row without columns.
+        firsts = []
+        for A in (A_ub, A_eq):
+            first = np.full(0 if A is None else A.shape[0], -1)
+            if A is not None:
+                counts = np.diff(A.indptr)
+                first[counts > 0] = A.indices[A.indptr[:-1][counts > 0]]
+                # Join the service of every nonzero to that of its row's first.
+                row_svc = service[np.repeat(first, counts)]
+                nz_svc = service[A.indices]
+                linked = row_svc != nz_svc
+                for a, b in set(zip(row_svc[linked].tolist(), nz_svc[linked].tolist())):
+                    root[find(a)] = find(b)
+            firsts.append(first)
+        _, block_of_service = np.unique([find(a) for a in range(len(root))], return_inverse=True)
+        self.of_col = block_of_service[service]
+        row_blocks = [np.where(first >= 0, self.of_col[first], -1) for first in firsts]
+        # (cols, c, A_ub, b_ub, A_eq, b_eq) of each block.
+        self.parts = []
+        for blk in range(int(block_of_service.max()) + 1):
+            cols = np.flatnonzero(self.of_col == blk)
+            part = [cols, c[cols]]
+            for A, rhs, row_block in ((A_ub, b_ub, row_blocks[0]), (A_eq, b_eq, row_blocks[1])):
+                rows = np.flatnonzero(row_block == blk)
+                part += [A[rows][:, cols], rhs[rows]] if rows.size else [None, None]
+            self.parts.append(part)
+
+    def resolve(self, x, value, col, lb, ub, config, time_limit) -> LpResult:
+        """LP of a child node: its parent's ``x`` and ``value``, with ``col``'s block re-solved.
+
+        The LP is separable by block, so the parent's optimal ``x`` is optimal
+        on every block whose bounds the branch on ``col`` left unchanged.
+        """
+        cols, c, A_ub, b_ub, A_eq, b_eq = self.parts[self.of_col[col]]
+        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb[cols], ub[cols], config, time_limit)
+        if res.status != LP_OPTIMAL:
+            return res
+        out = x.copy()
+        out[cols] = res.x
+        return LpResult(LP_OPTIMAL, value - float(c @ x[cols]) + res.objective, out)
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +434,16 @@ def schedule_heuristic(
     lp: LinearProgram,
     passes: int = 3,
     initial: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]] | None = None,
+    *,
+    _deadline: float | None = None,
 ) -> np.ndarray:
     """Greedy per-need assignment with remove-and-reinsert improvement.
 
     An optional initial assignment (e.g. rounded from an LP relaxation)
     seeds the search; improvement passes re-place each need against the
-    marginal cost of the current loads until a pass changes nothing.
+    marginal cost of the current loads until a pass changes nothing, or
+    until a pass ends after ``time.monotonic()`` passed ``_deadline``. The
+    first pass always completes.
     """
     inst = lp.source_instance
     catalog = inst.services
@@ -404,6 +488,8 @@ def schedule_heuristic(
             chosen[key] = (s_new, days_new)
             tracker.commit(s_new, need.service, days_new, sign=1)
         if pass_no > 0 and not changed:
+            break
+        if _deadline is not None and time.monotonic() > _deadline:
             break
 
     x = np.zeros(lp.n_cols)
@@ -547,6 +633,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     config = config or SolverConfig()
     inst = lp.source_instance
     t_start = time.monotonic()
+    deadline = t_start + config.time_limit if config.time_limit is not None else None
 
     # Bounds come from a strengthened (stay-convexified) relaxation with the
     # same integer feasible set; incumbents live in the public column space.
@@ -586,22 +673,26 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             return
         try:
             initial = _stays_from_lp(stay_cols, x, frequencies)
-            try_incumbent(schedule_heuristic(lp, initial=initial))
+            try_incumbent(schedule_heuristic(lp, initial=initial, _deadline=deadline))
         except SolverError:
             pass
 
-    if inst is not None and lp.n_cols > 0 and inst.youths:
+    past_deadline = deadline is not None and time.monotonic() > deadline
+    if inst is not None and lp.n_cols > 0 and inst.youths and not past_deadline:
         try:
-            try_incumbent(schedule_heuristic(lp))
+            try_incumbent(schedule_heuristic(lp, _deadline=deadline))
         except SolverError:
             # No greedy schedule exists (hand-crafted instance); let the
             # search discover infeasibility or a solution on its own.
             pass
 
     seq = itertools.count()
-    # Heap entries: (parent bound, tiebreak, patch dict col -> (lb, ub)).
-    heap: list[tuple] = [(-math.inf, next(seq), {})]
+    # Heap entries: (parent bound, tiebreak, patch dict col -> (lb, ub),
+    # parent LP x, branching column); the root has no parent. A child node
+    # re-solves only the block of its branching column (_ServiceBlocks).
+    heap: list[tuple] = [(-math.inf, next(seq), {}, None, None)]
     dive: list[tuple] = []
+    blocks: _ServiceBlocks | None = None
     node_count = 0
     status = None
     best_bound = -math.inf
@@ -640,8 +731,12 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             while len(batch) < width and (dive or heap):
                 batch.append(dive.pop() if dive else heapq.heappop(heap))
 
+            # Built here, not in a worker thread, when the first child comes up.
+            if blocks is None and any(entry[3] is not None for entry in batch):
+                blocks = _ServiceBlocks(slp)
+
             def _solve(entry):
-                patch = entry[2]
+                parent_bound, _, patch, parent_x, branch_col = entry
                 lb = root_lb.copy()
                 ub = root_ub.copy()
                 for col, (lo, hi) in patch.items():
@@ -649,7 +744,9 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                 remaining = None
                 if config.time_limit is not None:
                     remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
-                return solve_lp(slp, bounds=(lb, ub), config=config, time_limit=remaining)
+                if parent_x is None:
+                    return solve_lp(slp, bounds=(lb, ub), config=config, time_limit=remaining)
+                return blocks.resolve(parent_x, parent_bound, branch_col, lb, ub, config, remaining)
 
             if pool is not None and len(batch) > 1:
                 results = list(pool.map(_solve, batch))
@@ -694,8 +791,8 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                 ceil_patch = dict(patch)
                 ceil_patch[branch_col] = (float(math.ceil(v)), hi0)
                 children = [
-                    (node_bound, next(seq), floor_patch),
-                    (node_bound, next(seq), ceil_patch),
+                    (node_bound, next(seq), floor_patch, x, branch_col),
+                    (node_bound, next(seq), ceil_patch, x, branch_col),
                 ]
                 # Dive toward the side the LP value leans to; the sibling
                 # goes to the best-bound heap.
@@ -798,7 +895,9 @@ class VerifyReport:
             },
             "objective_ok": self.objective_ok,
             "objective_recomputed": self.objective_recomputed,
-            "objective_claimed": self.objective_claimed,
+            "objective_claimed": (
+                None if self.objective_claimed is None else _json_number(self.objective_claimed)
+            ),
         }
 
 

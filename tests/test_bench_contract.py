@@ -35,3 +35,26 @@ def test_tracer_wraps_and_restores_every_layer():
         tracer.restore()
     assert tracer._installed, "no function was wrapped"
     assert tracer.unrestored() == []
+
+
+def test_one_lp_per_node_under_tracer():
+    # The traced benchmark checks that a branch and bound runs as many LPs
+    # as it reports nodes; a node LP split into several calls fails here.
+    from shelterplan.datagen import GenerationConfig, generate_instance
+    from shelterplan.solver import SolverConfig
+
+    inst = generate_instance(GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3120))
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, shelterplan)
+        lp = shelterplan.model.build(inst)
+        sol = shelterplan.solver.branch_and_bound(lp, SolverConfig(rel_gap=0.0, node_limit=4))
+    finally:
+        tracer.restore()
+    assert tracer.unrestored() == []
+    assert tracing.self_check(tracer) == []
+    (bnb,) = [k for k, span in enumerate(tracer.spans) if span.name == "solver.bnb"]
+    lps = [span for span in tracer.spans if span.name == "solver.lp" and span.parent == bnb]
+    assert sol.node_count == 4
+    assert len(lps) == sol.node_count

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -95,6 +96,36 @@ class TestSolve:
             )
             assert result.exit_code == 4, result.output
             assert json.load(open("s.json"))["status"] == "TimeLimit"
+
+    def test_time_limit_before_any_node_writes_strict_json(self, runner, tmp_path, monkeypatch):
+        from shelterplan import solver
+
+        calls = []
+        real = solver.schedule_heuristic
+        monkeypatch.setattr(
+            solver, "schedule_heuristic", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            result = runner.invoke(
+                main,
+                ["solve", "--instance", "inst.json", "--time-limit", "0",
+                 "--gap", "0", "--out", "s.json"],
+            )
+            assert result.exit_code == 4, result.output
+            assert calls == []
+            doc = json.loads(open("s.json").read(), parse_constant=reject)
+            report = json.loads(open("s.json.verify.json").read(), parse_constant=reject)
+            assert report["objective_claimed"] == "Infinity"
+            assert doc["status"] == "TimeLimit"
+            assert (doc["objective"], doc["bound"], doc["gap"]) == ("Infinity", "-Infinity", "Infinity")
+            sol = solver.load_solution("s.json")
+            assert sol.objective == math.inf and sol.bound == -math.inf and sol.gap == math.inf
+            assert sol.to_json() == open("s.json").read().rstrip("\n")
 
     def test_solution_verifies_via_cli(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):

@@ -14,6 +14,7 @@ from shelterplan.solver import (
     LP_OPTIMAL,
     STATUS_GAP,
     STATUS_INFEASIBLE,
+    STATUS_NODES,
     STATUS_OPTIMAL,
     STATUS_TIME,
     BruteForceTooLarge,
@@ -42,6 +43,24 @@ def hand_lp():
         lp.add_col("X", y=1, s=1, i=1, t=j + 1, obj=-1.0, lb=0.0, ub=1.0, integer=False)
     lp.add_row("CAP", "2a", "<=", 1.0, [0, 1, 2], [1.0, 1.0, 1.0])
     return lp
+
+
+def stop_clock_after_heuristic(monkeypatch, readings):
+    """Patch the solver's clock: 0.0 until the first heuristic returns, then ``readings``."""
+    later = iter(readings)
+    state = {"heuristic_done": False}
+    real = solver.schedule_heuristic
+
+    def heuristic(*args, **kwargs):
+        x = real(*args, **kwargs)
+        state["heuristic_done"] = True
+        return x
+
+    monkeypatch.setattr(solver, "schedule_heuristic", heuristic)
+    monkeypatch.setattr(
+        solver, "time",
+        SimpleNamespace(monotonic=lambda: next(later) if state["heuristic_done"] else 0.0),
+    )
 
 
 def desk_lp():
@@ -161,19 +180,42 @@ class TestBranchAndBound:
         assert sol.status in (STATUS_OPTIMAL, STATUS_GAP)
         assert sol.bound <= sol.objective + 1e-6
 
-    def test_time_limit_returns_best_incumbent(self):
+    def test_time_limit_returns_best_incumbent(self, monkeypatch):
+        # The limit passes while the first heuristic runs.
+        stop_clock_after_heuristic(monkeypatch, readings=[2.0] * 5)
         rng = np.random.default_rng(17)
         inst = micro_instance(rng)
         lp = build(inst)
-        sol = branch_and_bound(lp, SolverConfig(time_limit=0.0))
+        sol = branch_and_bound(lp, SolverConfig(time_limit=1.0))
         assert sol.status == STATUS_TIME
+        assert sol.node_count == 0
         assert math.isfinite(sol.objective)  # heuristic incumbent exists
 
+    def test_time_limit_zero_skips_heuristic(self, monkeypatch):
+        calls = []
+        real = solver.schedule_heuristic
+        monkeypatch.setattr(
+            solver, "schedule_heuristic", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        _, lp = desk_lp()
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, time_limit=0.0))
+        assert calls == []
+        assert sol.status == STATUS_TIME
+        assert sol.node_count == 0
+        assert sol.objective == math.inf
+
+    def test_heuristic_deadline_ends_after_first_pass(self):
+        _, lp = desk_lp()
+        full = schedule_heuristic(lp, passes=1)
+        cut = schedule_heuristic(lp, passes=3, _deadline=-math.inf)
+        assert np.array_equal(full, cut)
+        assert not np.array_equal(schedule_heuristic(lp, passes=3), cut)
+
     def test_time_limit_inside_root_lp_keeps_incumbent(self, monkeypatch):
-        # Each clock reading advances half the limit: the check before the
-        # root node passes, and the root LP is left 0 s, so HiGHS stops it.
-        readings = iter(np.arange(0.0, 100.0, 0.5))
-        monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: next(readings)))
+        # After the heuristic, each clock reading advances half the limit:
+        # the check before the root node passes, and the root LP is left
+        # 0 s, so HiGHS stops it.
+        stop_clock_after_heuristic(monkeypatch, readings=np.arange(0.5, 100.0, 0.5))
         inst, lp = desk_lp()
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, time_limit=1.0))
         assert sol.status == STATUS_TIME
@@ -195,6 +237,80 @@ class TestBranchAndBound:
         bf = brute_force(inst)
         assert sol.status == STATUS_INFEASIBLE
         assert bf.status == STATUS_INFEASIBLE
+
+
+class TestServiceBlocks:
+    def test_block_resolve_matches_monolithic_lp(self):
+        _, lp = desk_lp()
+        slp, _ = solver._extend_with_stay_vars(lp)
+        root = solve_lp(slp)
+        blocks = solver._ServiceBlocks(slp)
+        n_blocks = int(blocks.of_col.max()) + 1
+        assert n_blocks == len({ref.i for ref in slp.col_refs})
+        c, A_ub, b_ub, A_eq, b_eq = slp.to_scipy()
+        lb0, ub0 = slp.bounds_arrays()
+        config = SolverConfig()
+
+        def dearest(col):
+            ref = slp.col_refs[col]
+            return max(slp.obj[x] for x in slp.x_cols[(ref.y, ref.s, ref.i)].values())
+
+        moved = 0
+        for b in range(0, n_blocks, 4):
+            u_cols = [j for j in np.flatnonzero(blocks.of_col == b)
+                      if slp.col_refs[j].kind == "U"]
+            # Forbid the most-used organization; force the dearest one.
+            used = max(u_cols, key=lambda j: (root.x[j], -j))
+            dear = max(u_cols, key=lambda j: (dearest(j), -j))
+            for col, fixed in ((used, 0.0), (dear, 1.0)):
+                lb, ub = lb0.copy(), ub0.copy()
+                lb[col] = ub[col] = fixed
+                full = solve_lp(slp, bounds=(lb, ub), config=config)
+                part = blocks.resolve(root.x, root.objective, col, lb, ub, config, None)
+                assert part.status == full.status == LP_OPTIMAL
+                assert part.objective == pytest.approx(full.objective, rel=1e-9)
+                moved += part.objective > root.objective + 1e-6
+                x = part.x
+                assert np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9)
+                assert np.all(A_ub @ x <= b_ub + 1e-6)
+                assert np.allclose(A_eq @ x, b_eq, atol=1e-6)
+        assert moved >= 3
+
+    def test_linking_row_merges_services(self):
+        lp = LinearProgram()
+
+        def col(i, t, obj):
+            return lp.add_col("X", y=1, s=1, i=i, t=t, obj=obj, lb=0.0, ub=1.0, integer=True)
+
+        a, b = col(1, 1, -5.0), col(1, 2, -4.0)
+        c, d = col(2, 1, -3.0), col(2, 2, -3.0)
+        e, f = col(3, 1, -2.0), col(3, 2, -3.0)
+        lp.add_row("K1", "2a", "<=", 4.0, [a, b], [3.0, 2.0])
+        lp.add_row("K2", "2a", "<=", 3.0, [c, d], [2.0, 2.0])
+        lp.add_row("K3", "2a", "<=", 4.0, [e, f], [2.0, 3.0])
+        # Without this row the optimum is -11 (a, d, f).
+        lp.add_row("LINK", "2a", "<=", 1.0, [a, c, d], [1.0, 1.0, 1.0])
+        of_col = solver._ServiceBlocks(lp).of_col
+        assert len(set(of_col[[a, b, c, d]])) == 1
+        assert len(set(of_col[[e, f]])) == 1 and of_col[e] != of_col[a]
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
+        # Objective, bound and node count of the search that re-solved the
+        # whole LP at every node.
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.objective == -10.0
+        assert sol.bound == -10.0
+        assert sol.node_count == 11
+
+    def test_gap_zero_search_matches_full_resolves(self):
+        inst = generate_instance(GenerationConfig(n_youth=20, horizon_T=30, bed_scale=0.1, seed=14))
+        sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0, node_limit=25))
+        # Status, objective and bound of the search that re-solved the whole
+        # LP at every node.
+        assert sol.status == STATUS_NODES
+        assert sol.node_count == 25
+        assert sol.objective == 2333.0
+        assert sol.bound == pytest.approx(2329.0, abs=1e-6)
+        assert verify(inst, sol).ok
 
 
 class TestCheapestSplit:
