@@ -39,10 +39,11 @@ from .model import build
 from .scenarios import (
     DESK_BASE,
     FULL_BASE,
+    _overflow_series,
     bed_sources,
     expansion_percentages,
     experiment_grid,
-    overflow_timeseries,
+    overflow_timeseries,  # noqa: F401  (bench/tracing.py wraps it by name in cli)
     run_grid,
     service_source_breakdown,
     write_scenario_outputs,
@@ -344,11 +345,10 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     paths.append(path)
 
     org_ids = [org.id for org in instance.housing_orgs()]
-    series = {s: overflow_timeseries(instance, solution, s) for s in org_ids}
-    total = overflow_timeseries(instance, solution)
+    series = _overflow_series(instance, solution)
     rows = [["day"] + [f"org_{s}" for s in org_ids] + ["system"]]
     for t in range(instance.horizon_T):
-        rows.append([t + 1] + [int(series[s][t]) for s in org_ids] + [int(total[t])])
+        rows.append([t + 1] + [int(series[s][t]) for s in org_ids + [None]])
     path = os.path.join(out_dir, "overflow_timeseries.csv")
     _write_csv(path, rows)
     paths.append(path)

@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .domain import (
     ProblemInstance,
@@ -199,6 +198,10 @@ class LinearProgram:
         """Split rows by sense into (c, A_ub, b_ub, A_eq, b_eq) with >= negated."""
         if self._scipy_cache is not None:
             return self._scipy_cache
+        # Imported here, its only use, so that commands which never solve
+        # start without loading scipy.
+        import scipy.sparse as sp
+
         n, m = self.n_cols, self.n_rows
         A = sp.csr_matrix(
             (
@@ -471,6 +474,19 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _field(text: str, width: int) -> str:
+    return text.ljust(width) if len(text) < width else text + " "
+
+
+def _distinct_texts(values: np.ndarray) -> tuple[list[str], list[int]]:
+    """Each distinct number formatted once: the texts and each value's index.
+
+    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    """
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    return [_fmt(v) for v in bits.view(np.float64).tolist()], index.tolist()
+
+
 def write_mps(lp: LinearProgram, path: str) -> None:
     """Write the model in fixed MPS layout.
 
@@ -478,13 +494,29 @@ def write_mps(lp: LinearProgram, path: str) -> None:
     field overflow it with a single separating space, which mainstream
     readers accept. All variables are integer, so the COLUMNS section sits
     inside one INTORG/INTEND marker pair.
-    """
-    entries_by_col: dict[int, list[tuple[int, float]]] = {}
-    for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
-        entries_by_col.setdefault(c, []).append((r, v))
 
-    def field(text: str, width: int) -> str:
-        return text.ljust(width) if len(text) < width else text + " "
+    A column's entries are its nonzero cost, then its matrix entries in
+    ascending row order, two to a line.
+    """
+    n, m = lp.n_cols, lp.n_rows
+    col_fields = [_field(name, 10) for name in lp.column_names()]
+    # Row index m stands for the objective row COST.
+    row_fields = [_field(name, 10) for name in lp.row_names] + [_field("COST", 10)]
+
+    # Cost entries first, so that a stable sort by column puts each cost
+    # ahead of the column's matrix entries, which keep their row order.
+    obj = np.asarray(lp.obj, dtype=float)
+    cost_cols = np.flatnonzero(obj != 0.0)
+    cols = np.concatenate([cost_cols, np.asarray(lp._tri_col, dtype=np.int64)])
+    rows = np.concatenate(
+        [np.full(cost_cols.size, m, dtype=np.int64), np.asarray(lp._tri_row, dtype=np.int64)]
+    )
+    vals = np.concatenate([obj[cost_cols], np.asarray(lp._tri_val, dtype=float)])
+    order = np.argsort(cols, kind="stable")
+    starts = np.searchsorted(cols[order], np.arange(n + 1)).tolist()
+    row_of = rows[order].tolist()
+    texts, text_of = _distinct_texts(vals[order])
+    padded = [_field(text, 15) for text in texts]
 
     lines = []
     lines.append("NAME" + " " * 10 + "SHELTERPLAN")
@@ -494,30 +526,29 @@ def write_mps(lp: LinearProgram, path: str) -> None:
         tag = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}[sense]
         lines.append(f" {tag}  {name}")
     lines.append("COLUMNS")
-    lines.append("    MARKER    " + field("'MARKER'", 25 - 14) + "'INTORG'")
-    for col, ref in enumerate(lp.col_refs):
-        pairs: list[tuple[str, float]] = []
-        if lp.obj[col] != 0.0:
-            pairs.append(("COST", lp.obj[col]))
-        for r, v in entries_by_col.get(col, []):
-            pairs.append((lp.row_names[r], v))
-        for j in range(0, len(pairs), 2):
-            chunk = pairs[j : j + 2]
-            line = "    " + field(ref.name, 10)
-            line += field(chunk[0][0], 10) + field(_fmt(chunk[0][1]), 15)
-            if len(chunk) == 2:
-                line += field(chunk[1][0], 10) + _fmt(chunk[1][1])
-            lines.append(line.rstrip())
-    lines.append("    MARKER    " + field("'MARKER'", 25 - 14) + "'INTEND'")
+    lines.append("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTORG'")
+    for col in range(n):
+        prefix = "    " + col_fields[col]
+        lo, hi = starts[col], starts[col + 1]
+        for j in range(lo, hi - 1, 2):
+            lines.append(
+                prefix + row_fields[row_of[j]] + padded[text_of[j]]
+                + row_fields[row_of[j + 1]] + texts[text_of[j + 1]]
+            )
+        if (hi - lo) % 2:
+            lines.append(prefix + row_fields[row_of[hi - 1]] + texts[text_of[hi - 1]])
+    lines.append("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTEND'")
     lines.append("RHS")
-    for name, rhs in zip(lp.row_names, lp.rhs):
+    for name, rhs in zip(row_fields, lp.rhs):
         if rhs != 0.0:
-            lines.append("    " + field("RHS", 10) + field(name, 10) + _fmt(rhs))
+            lines.append("    " + _field("RHS", 10) + name + _fmt(rhs))
     lines.append("BOUNDS")
-    for col, ref in enumerate(lp.col_refs):
+    bnd = _field("BND", 10)
+    ub_texts, ub_text_of = _distinct_texts(np.asarray(lp.ub, dtype=float))
+    for col in range(n):
         if lp.lb[col] != 0.0:
-            lines.append(" LO " + field("BND", 10) + field(ref.name, 10) + _fmt(lp.lb[col]))
-        lines.append(" UI " + field("BND", 10) + field(ref.name, 10) + _fmt(lp.ub[col]))
+            lines.append(" LO " + bnd + col_fields[col] + _fmt(lp.lb[col]))
+        lines.append(" UI " + bnd + col_fields[col] + ub_texts[ub_text_of[col]])
     lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

@@ -83,19 +83,26 @@ def _solution_tables(instance: ProblemInstance, solution: Solution):
     return tables["X"], tables["E"], tables["O"]
 
 
+def _overflow_series(instance: ProblemInstance, solution: Solution) -> dict:
+    """Per-day overflow bed referrals by organization id, and of all under None.
+
+    Every series comes from one parse of the solution.
+    """
+    _, _, o = _solution_tables(instance, solution)
+    series = {key: np.zeros(instance.horizon_T)
+              for key in [None] + [org.id for org in instance.organizations]}
+    for (s, i, t), v in o.items():
+        if i == BED_SERVICE_ID:
+            series[None][t - 1] += v
+            series[s][t - 1] += v
+    return series
+
+
 def overflow_timeseries(
     instance: ProblemInstance, solution: Solution, org_id: int | None = None
 ) -> np.ndarray:
     """Per-day overflow bed referrals from one organization (or all)."""
-    _, _, o = _solution_tables(instance, solution)
-    series = np.zeros(instance.horizon_T)
-    for (s, i, t), v in o.items():
-        if i != BED_SERVICE_ID:
-            continue
-        if org_id is not None and s != org_id:
-            continue
-        series[t - 1] += v
-    return series
+    return _overflow_series(instance, solution).get(org_id, np.zeros(instance.horizon_T))
 
 
 def bed_sources(instance: ProblemInstance, solution: Solution) -> dict:
@@ -375,14 +382,14 @@ def run_scenario(
         gaps.append(solution.gap)
         objectives.append(solution.objective)
 
-        series = overflow_timeseries(instance, solution)
+        by_org = _overflow_series(instance, solution)
+        series = by_org[None]
         max_ofl.append(float(series.max()) if series.size else 0.0)
         mean_ofl.append(float(series.mean()) if series.size else 0.0)
         series_acc = series if series_acc is None else series_acc + series
         for o in instance.housing_orgs():
-            org_series = overflow_timeseries(instance, solution, o.id)
             acc = series_org_acc.setdefault(o.id, np.zeros(instance.horizon_T))
-            acc += org_series
+            acc += by_org[o.id]
         ofl_cost.append(solution.decomposition.get("overflow", 0.0))
         ref_cost.append(referral_cost(instance, solution))
 

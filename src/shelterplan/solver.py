@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .domain import (
     OrganizationProfile,
@@ -183,6 +182,17 @@ def solve_lp(
 
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
     return _highs(*lp.to_scipy(), lb, ub, config, time_limit)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Only a solve loads scipy.optimize, so commands that never solve start
+    without it. ``_highs`` calls it through this module's global.
+    """
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, config: SolverConfig, time_limit) -> LpResult:
@@ -622,6 +632,19 @@ def _select_branch_var(lp: LinearProgram, x: np.ndarray, eps: float) -> int | No
     return best_col
 
 
+def _without_incumbent(status: str, bound: float, node_count: int) -> Solution:
+    """The result of a search that found no incumbent."""
+    return Solution(
+        values={},
+        objective=math.inf,
+        bound=bound,
+        gap=math.inf,
+        status=status,
+        decomposition={"assignment": 0.0, "expansion": 0.0, "overflow": 0.0},
+        node_count=node_count,
+    )
+
+
 def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> Solution:
     """Best-bound branch and bound with depth-first plunging.
 
@@ -634,6 +657,9 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     inst = lp.source_instance
     t_start = time.monotonic()
     deadline = t_start + config.time_limit if config.time_limit is not None else None
+    if deadline is not None and time.monotonic() > deadline:
+        # The limit passed before any work: no strengthened copy, no node.
+        return _without_incumbent(STATUS_TIME, -math.inf, 0)
 
     # Bounds come from a strengthened (stay-convexified) relaxation with the
     # same integer feasible set; incumbents live in the public column space.
@@ -811,24 +837,8 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
 
     if best_x is None:
         if saw_infeasible_root or (not heap and not dive):
-            return Solution(
-                values={},
-                objective=math.inf,
-                bound=math.inf,
-                gap=math.inf,
-                status=STATUS_INFEASIBLE,
-                decomposition={"assignment": 0.0, "expansion": 0.0, "overflow": 0.0},
-                node_count=node_count,
-            )
-        return Solution(
-            values={},
-            objective=math.inf,
-            bound=open_bound(),
-            gap=math.inf,
-            status=status,
-            decomposition={"assignment": 0.0, "expansion": 0.0, "overflow": 0.0},
-            node_count=node_count,
-        )
+            return _without_incumbent(STATUS_INFEASIBLE, math.inf, node_count)
+        return _without_incumbent(status, open_bound(), node_count)
 
     if status == STATUS_OPTIMAL:
         final_bound = best_obj

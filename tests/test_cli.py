@@ -3,10 +3,13 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import shelterplan
 from shelterplan.cli import main
 from shelterplan.domain import BED_SERVICE_ID
 from shelterplan.model import parse_variable_name
@@ -25,6 +28,21 @@ GEN_ARGS = [
     "generate", "--youth", "12", "--days", "30", "--theta", "0.2",
     "--bed-scale", "0.1", "--seed", "7", "--out", "inst.json",
 ]
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        # Only solving needs scipy; every other command starts without it.
+        code = (
+            "import sys, shelterplan.cli; "
+            "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])"
+        )
+        src = os.path.dirname(os.path.dirname(shelterplan.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestGenerate:

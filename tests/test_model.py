@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -352,6 +354,44 @@ class TestExports:
         for name in small_lp.row_names:
             assert name in text
 
+    @pytest.fixture(scope="class")
+    def generated_lp(self):
+        return build(datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=1)
+        ))
+
+    def test_mps_digest_pinned(self, generated_lp, tmp_path):
+        # The digest of the file written before the one-pass writer.
+        path = tmp_path / "model.mps"
+        write_mps(generated_lp, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "2783a9abf775766a9d34308931ce08b122b8eba34d2e315a3889b915978092b7"
+        )
+
+    def test_mps_reads_back(self, generated_lp, tmp_path):
+        lp = generated_lp
+        path = tmp_path / "model.mps"
+        write_mps(lp, str(path))
+        entries, rhs, lower, upper = read_mps(path)
+        names = lp.column_names()
+        by_col = {}
+        for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
+            by_col.setdefault(c, []).append((lp.row_names[r], v))
+        expected = []
+        for c, name in enumerate(names):
+            if lp.obj[c] != 0.0:
+                expected.append((name, "COST", lp.obj[c]))
+            expected += [(name, row, v) for row, v in by_col.get(c, [])]
+        assert entries == expected
+        assert rhs == {row: v for row, v in zip(lp.row_names, lp.rhs) if v != 0.0}
+        assert lower == {name: v for name, v in zip(names, lp.lb) if v != 0.0}
+        assert upper == dict(zip(names, lp.ub))
+        # A costed column with an odd number of entries ends on a one-pair line.
+        per_col = {}
+        for name, _, _ in entries:
+            per_col[name] = per_col.get(name, 0) + 1
+        assert any(lp.obj[c] != 0.0 and per_col[name] % 2 for c, name in enumerate(names))
+
     def test_mps_deterministic(self, small_lp, tmp_path):
         p1, p2 = tmp_path / "a.mps", tmp_path / "b.mps"
         write_mps(small_lp, str(p1))
@@ -370,3 +410,23 @@ class TestExports:
         assert sum(1 for l in lines if l.startswith("VAR ")) == nvars
         assert sum(1 for l in lines if l.startswith("ROW ")) == nrows
         assert sum(1 for l in lines if l.startswith("NZ ")) == small_lp.nnz
+
+
+def read_mps(path):
+    """The COLUMNS entries (column, row, value) in file order, and the RHS,
+    lower-bound and upper-bound values by name, of a file from write_mps."""
+    entries, rhs, lower, upper = [], {}, {}, {}
+    section = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            tokens = line.split()
+            if not line.startswith(" "):
+                section = tokens[0]
+            elif section == "COLUMNS" and tokens[0] != "MARKER":
+                for j in range(1, len(tokens), 2):
+                    entries.append((tokens[0], tokens[j], float(tokens[j + 1])))
+            elif section == "RHS":
+                rhs[tokens[1]] = float(tokens[2])
+            elif section == "BOUNDS":
+                (lower if tokens[0] == "LO" else upper)[tokens[2]] = float(tokens[3])
+    return entries, rhs, lower, upper

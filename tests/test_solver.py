@@ -192,17 +192,21 @@ class TestBranchAndBound:
         assert math.isfinite(sol.objective)  # heuristic incumbent exists
 
     def test_time_limit_zero_skips_heuristic(self, monkeypatch):
+        # Neither the heuristic nor the strengthened copy is built.
         calls = []
-        real = solver.schedule_heuristic
-        monkeypatch.setattr(
-            solver, "schedule_heuristic", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-        )
+        for name in ("schedule_heuristic", "_extend_with_stay_vars"):
+            real = getattr(solver, name)
+            monkeypatch.setattr(
+                solver, name,
+                lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw),
+            )
         _, lp = desk_lp()
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, time_limit=0.0))
         assert calls == []
         assert sol.status == STATUS_TIME
         assert sol.node_count == 0
         assert sol.objective == math.inf
+        assert (sol.bound, sol.gap) == (-math.inf, math.inf)
 
     def test_heuristic_deadline_ends_after_first_pass(self):
         _, lp = desk_lp()
