@@ -5,28 +5,42 @@ Variables
     X[y,s,i,t]  binary: youth y receives service i from s on day t
     E[s,i,t]    integer: extra in-house units added at s for service i, day t
     O[s,i,t]    integer: youth referred to the overflow shelter from s
+    W[y,s,i,t]  binary: youth y's stay for service i at s starts on day t
+                (stay needs only, see below)
 
 Constraint families (row annotations)
     2a  per-day capacity: sum_y X <= c + E + O
     2b  facility headroom: c + E <= mu
     2c  one serving organization per (youth, service)
-    2d  continuity link: sum_t X <= T * U
+    2d  continuity link: sum_t X <= T * U, and for a stay need
+        sum_t W <= U per organization
     3b  start inside the [a, b] window (>= 1); 3a/2e hold structurally
         because no X column is created outside [a, b+d] or at an
         incompatible or non-offering organization
     4a  non-periodic occurrence count == f
     4b  periodic occurrence count == f plus maximum-gap chain rows so
-        consecutive occurrences are at most omega + k days apart
+        consecutive occurrences are at most omega + k days apart; for a
+        stay need, one stay (sum W == 1) and each X day equal to the W
+        mass of the stays that cover it, in place of the gap rows
     4c  minimum-gap windows: at most one occurrence per organization in
         any window of omega - k consecutive days
 
 Together 4b and 4c force consecutive occurrence gaps into
 [omega - k, omega + k] anchored at the realized start day.
 
+A stay need is a run of f >= 2 consecutive days (periodic, omega 1, k 0,
+as the bed is) on contiguous reachable days with a start in
+[a, min(b, last reachable day - f + 1)]. Its W columns write every
+fractional X profile as a mixture of whole stays, which is the convex hull
+of its schedules and far tighter in relaxation than the gap rows. W is
+integral wherever U and X are, so branching never needs it; solution
+files leave it out.
+
 X columns are created only on reachable days: for a periodic need the union
 of the per-occurrence intervals [a + j*(omega-k), b + j*(omega+k)], clipped
 to [a, min(b + d, T)]; for a single-occurrence need just [a, b]; otherwise
-the full [a, min(b + d, T)].
+the full [a, min(b + d, T)]. W columns follow the O columns, and the W rows
+follow all other rows.
 """
 
 from __future__ import annotations
@@ -45,7 +59,7 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "="
 
-KIND_ORDER = {"U": 0, "X": 1, "E": 2, "O": 3}
+KIND_ORDER = {"U": 0, "X": 1, "E": 2, "O": 3, "W": 4}
 
 # Index letters that key each kind's values: U (y, s, i), X (y, s, i, t),
 # E and O (s, i, t).
@@ -66,8 +80,8 @@ class VariableRef(NamedTuple):
     def name(self) -> str:
         if self.kind == "U":
             return f"U_y{self.y}_s{self.s}_i{self.i}"
-        if self.kind == "X":
-            return f"X_y{self.y}_s{self.s}_i{self.i}_t{self.t}"
+        if self.y is not None:
+            return f"{self.kind}_y{self.y}_s{self.s}_i{self.i}_t{self.t}"
         return f"{self.kind}_s{self.s}_i{self.i}_t{self.t}"
 
 
@@ -116,6 +130,8 @@ class LinearProgram:
         self.x_cols: dict[tuple[int, int, int], dict[int, int]] = {}
         self.e_cols: dict[tuple[int, int, int], int] = {}
         self.o_cols: dict[tuple[int, int, int], int] = {}
+        # W columns of each stay need's (y, s, i), by start day.
+        self.w_cols: dict[tuple[int, int, int], dict[int, int]] = {}
         # X columns of each (s, i, t), the load that its E/O columns cover.
         self.x_by_triple: dict[tuple[int, int, int], list[int]] = {}
         self.need_orgs: dict[tuple[int, int], list[int]] = {}
@@ -267,6 +283,21 @@ def reachable_days(need, horizon_T: int, periodic: bool, k: int) -> list[int]:
     return sorted(days)
 
 
+def stay_starts(need, svc, orgs: list[int], days: list[int]) -> list[int]:
+    """Start days of a stay need's W columns; empty if the need is no stay.
+
+    A stay is f >= 2 consecutive days (periodic, omega 1, k 0) on
+    contiguous reachable days, starting in [a, b] early enough to end by
+    the last reachable day.
+    """
+    f = need.frequency_f
+    if not (svc.periodic and svc.flexibility_k == 0 and need.omega == 1 and f >= 2):
+        return []
+    if not orgs or not days or days != list(range(days[0], days[-1] + 1)):
+        return []
+    return list(range(need.window_start_a, min(need.window_end_b, days[-1] - f + 1) + 1))
+
+
 class ModelBuilder:
     """Builds the annotated sparse model for one instance."""
 
@@ -340,6 +371,21 @@ class ModelBuilder:
                 lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
             )
 
+        stays = {}  # (y, i) -> (orgs, days, f, starts) of each stay need
+        for youth, need, svc, orgs, days in need_info:
+            starts = stay_starts(need, svc, orgs, days)
+            if not starts:
+                continue
+            stays[(youth.id, need.service)] = (orgs, days, need.frequency_f, starts)
+            for s in orgs:
+                lp.w_cols[(youth.id, s, need.service)] = {
+                    t0: lp.add_col(
+                        "W", y=youth.id, s=s, i=need.service, t=t0,
+                        obj=0.0, lb=0.0, ub=1.0, integer=True,
+                    )
+                    for t0 in starts
+                }
+
         # (2a)/(2b): per-day capacity and headroom on used triples.
         x_by_triple = lp.x_by_triple = {t: [] for t in triples}
         for (y, s, i), tmap in lp.x_cols.items():
@@ -389,31 +435,10 @@ class ModelBuilder:
                 continue
 
             lp.add_row(f"C4b_y{y}_i{i}", "4b", SENSE_EQ, float(f), all_x, [1.0] * len(all_x))
-            if f < 2:
+            # A stay need's gaps come from its W rows below.
+            if f < 2 or (y, i) in stays:
                 continue
             omega, k = need.omega, svc.flexibility_k
-
-            # Daily services (a stay of f consecutive days starting in
-            # [a, B]) admit an exact two-coefficient encoding: per
-            # organization, occupancy is nondecreasing up to the pivot day B
-            # shared by every feasible stay, nonincreasing after. This is far
-            # tighter in relaxation than the generic gap rows below.
-            if omega == 1 and k == 0 and days == list(range(days[0], days[-1] + 1)):
-                pivot = min(b, days[-1] - f + 1)
-                if a <= pivot <= a + f - 1:
-                    for s in orgs:
-                        tmap = lp.x_cols[(y, s, i)]
-                        for t in days[1:]:
-                            if t <= pivot:
-                                cols = [tmap[t - 1], tmap[t]]
-                                vals = [1.0, -1.0]
-                            else:
-                                cols = [tmap[t], tmap[t - 1]]
-                                vals = [1.0, -1.0]
-                            lp.add_row(
-                                f"C4bm_y{y}_s{s}_i{i}_t{t}", "4b", SENSE_LE, 0.0, cols, vals
-                            )
-                    continue
 
             # Maximum gap: an occurrence with no successor within omega + k
             # days must be the last one (no occurrence after it at all).
@@ -457,6 +482,26 @@ class ModelBuilder:
                             f"C4c_y{y}_s{s}_i{i}_t{t}", "4c", SENSE_LE, 1.0,
                             cols, [1.0] * len(cols),
                         )
+
+        # (4b)/(2d) for stay needs: X is a mixture of whole stays.
+        for (y, i), (orgs, days, f, starts) in stays.items():
+            wcols = [col for s in orgs for col in lp.w_cols[(y, s, i)].values()]
+            lp.add_row(f"C4bw_y{y}_i{i}", "4b", SENSE_EQ, 1.0, wcols, [1.0] * len(wcols))
+            for s in orgs:
+                tmap, wmap = lp.x_cols[(y, s, i)], lp.w_cols[(y, s, i)]
+                # Each X day equals the mass of the stays that cover it; days
+                # after the last start's stay get none.
+                for t in days:
+                    covering = [wmap[t0] for t0 in starts if t0 <= t <= t0 + f - 1]
+                    lp.add_row(
+                        f"C4bl_y{y}_s{s}_i{i}_t{t}", "4b", SENSE_EQ, 0.0,
+                        [tmap[t]] + covering, [1.0] + [-1.0] * len(covering),
+                    )
+                lp.add_row(
+                    f"C2dw_y{y}_s{s}_i{i}", "2d", SENSE_LE, 0.0,
+                    list(wmap.values()) + [lp.u_cols[(y, s, i)]],
+                    [1.0] * len(wmap) + [-1.0],
+                )
         return lp
 
 

@@ -44,7 +44,7 @@ from .domain import (
     demographic_compatible,
     service_offered,
 )
-from .model import SENSE_EQ, SENSE_LE, LinearProgram, index_values
+from .model import LinearProgram, index_values
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -321,10 +321,11 @@ def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 
 
 def values_from_vector(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
+    """Nonzero U/X/E/O values by name; W follows from X and is left out."""
     values: dict[str, float] = {}
     for ref, v in zip(lp.col_refs, x):
         v = float(v)
-        if abs(v) < 1e-9:
+        if abs(v) < 1e-9 or ref.kind == "W":
             continue
         values[ref.name] = float(round(v)) if abs(v - round(v)) < 1e-6 else v
     return values
@@ -508,21 +509,28 @@ def schedule_heuristic(
         tmap = lp.x_cols[(y, s, i)]
         for t in days:
             x[tmap[t]] = 1.0
+        wmap = lp.w_cols.get((y, s, i))
+        if wmap:
+            x[wmap[days[0]]] = 1.0
     return repair_expansion(lp, x)
 
 
 def _stays_from_lp(
-    stay_cols: Mapping[tuple[int, int], list[tuple[int, int, int]]],
-    x: np.ndarray,
-    frequencies: Mapping[tuple[int, int], int],
+    lp: LinearProgram, x: np.ndarray
 ) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
-    """Round stay-mixture mass to one concrete stay per daily-service need."""
+    """Round the W mass of each stay need to its heaviest stay."""
     initial: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for key, entries in stay_cols.items():
-        best = max(entries, key=lambda e: (x[e[2]], -e[0], -e[1]))
-        s, t0, _ = best
-        f = frequencies[key]
-        initial[key] = (s, tuple(range(t0, t0 + f)))
+    for youth in lp.source_instance.youths:
+        for need in youth.needs:
+            i = need.service
+            entries = [
+                (s, t0, col)
+                for s in lp.need_orgs[(youth.id, i)]
+                for t0, col in lp.w_cols.get((youth.id, s, i), {}).items()
+            ]
+            if entries:
+                s, t0, _ = max(entries, key=lambda e: (x[e[2]], -e[0], -e[1]))
+                initial[(youth.id, i)] = (s, tuple(range(t0, t0 + need.frequency_f)))
     return initial
 
 
@@ -531,93 +539,11 @@ def _stays_from_lp(
 # ---------------------------------------------------------------------------
 
 
-def _extend_with_stay_vars(lp: LinearProgram):
-    """Internal bounding relaxation: convexify daily-service stays.
-
-    For every need that is a run of f consecutive days (the bed), append one
-    continuous stay-start column per (organization, start day) and link the
-    public X columns to the mixture of stays. Fractional X profiles are then
-    convex combinations of real stays instead of arbitrary smooth shapes,
-    which removes most of the relaxation's demand-smoothing slack. The
-    integer feasible set is unchanged, so bounds remain valid; the public
-    model and its exports are not touched.
-    """
-    inst = lp.source_instance
-    slp = LinearProgram(inst)
-    slp.col_refs = list(lp.col_refs)
-    slp.obj = list(lp.obj)
-    slp.lb = list(lp.lb)
-    slp.ub = list(lp.ub)
-    slp.is_integer = list(lp.is_integer)
-    slp.row_names = list(lp.row_names)
-    slp.row_family = list(lp.row_family)
-    slp.row_sense = list(lp.row_sense)
-    slp.rhs = list(lp.rhs)
-    slp._tri_row = list(lp._tri_row)
-    slp._tri_col = list(lp._tri_col)
-    slp._tri_val = list(lp._tri_val)
-    slp.u_cols = lp.u_cols
-    slp.x_cols = lp.x_cols
-    slp.e_cols = lp.e_cols
-    slp.o_cols = lp.o_cols
-    slp.need_orgs = lp.need_orgs
-
-    stay_cols: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    catalog = inst.services
-    for youth in inst.youths:
-        for need in youth.needs:
-            svc = catalog.get(need.service)
-            if not svc.periodic or svc.flexibility_k != 0 or need.omega != 1:
-                continue
-            f = need.frequency_f
-            if f < 2:
-                continue
-            orgs = lp.need_orgs[(youth.id, need.service)]
-            if not orgs:
-                continue
-            days = sorted(lp.x_cols[(youth.id, orgs[0], need.service)])
-            if not days or days != list(range(days[0], days[-1] + 1)):
-                continue
-            last_start = days[-1] - f + 1
-            starts = [t for t in range(need.window_start_a, need.window_end_b + 1) if t <= last_start]
-            if not starts:
-                continue
-            entries = []
-            for s in orgs:
-                for t0 in starts:
-                    col = slp.add_col(
-                        "W", y=youth.id, s=s, i=need.service, t=t0,
-                        obj=0.0, lb=0.0, ub=1.0, integer=False,
-                    )
-                    entries.append((s, t0, col))
-            stay_cols[(youth.id, need.service)] = entries
-            # Exactly one stay is chosen.
-            slp.add_row(
-                f"W1_y{youth.id}_i{need.service}", "aux", SENSE_EQ, 1.0,
-                [c for _, _, c in entries], [1.0] * len(entries),
-            )
-            # Each X day equals the mass of stays covering it; days beyond
-            # the last coverable start are forced to zero.
-            for s in orgs:
-                tmap = lp.x_cols[(youth.id, s, need.service)]
-                scol = {t0: c for (ss, t0, c) in entries if ss == s}
-                for t in days:
-                    covering = [scol[t0] for t0 in starts if t0 <= t <= t0 + f - 1]
-                    slp.add_row(
-                        f"WL_y{youth.id}_s{s}_i{need.service}_t{t}", "aux", SENSE_EQ, 0.0,
-                        [tmap[t]] + covering, [1.0] + [-1.0] * len(covering),
-                    )
-                # Stays at an organization imply its assignment indicator.
-                slp.add_row(
-                    f"WU_y{youth.id}_s{s}_i{need.service}", "aux", SENSE_LE, 0.0,
-                    list(scol.values()) + [lp.u_cols[(youth.id, s, need.service)]],
-                    [1.0] * len(scol) + [-1.0],
-                )
-    return slp, stay_cols
-
-
 def _select_branch_var(lp: LinearProgram, x: np.ndarray, eps: float) -> int | None:
-    """Pick the most fractional column: fractional U first, then X, then E/O."""
+    """Pick the most fractional column: fractional U first, then X, then E/O.
+
+    W is integral wherever U and X are, so it is never picked.
+    """
     frac = np.abs(x - np.round(x))
     is_frac = (np.asarray(lp.is_integer, dtype=bool) & (frac > eps)).nonzero()[0]
     if is_frac.size == 0:
@@ -657,36 +583,19 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     inst = lp.source_instance
     t_start = time.monotonic()
     deadline = t_start + config.time_limit if config.time_limit is not None else None
-    if deadline is not None and time.monotonic() > deadline:
-        # The limit passed before any work: no strengthened copy, no node.
-        return _without_incumbent(STATUS_TIME, -math.inf, 0)
-
-    # Bounds come from a strengthened (stay-convexified) relaxation with the
-    # same integer feasible set; incumbents live in the public column space.
-    if inst is not None and lp.n_cols > 0:
-        slp, stay_cols = _extend_with_stay_vars(lp)
-    else:
-        slp, stay_cols = lp, {}
-    n_pub = lp.n_cols
-    frequencies = {}
-    if inst is not None:
-        for youth in inst.youths:
-            for need in youth.needs:
-                frequencies[(youth.id, need.service)] = need.frequency_f
-
-    root_lb, root_ub = slp.bounds_arrays()
-    int_mask_pub = np.asarray(lp.is_integer) if n_pub else np.zeros(0, dtype=bool)
+    root_lb, root_ub = lp.bounds_arrays()
+    int_mask = np.asarray(lp.is_integer, dtype=bool)
 
     best_x: np.ndarray | None = None
     best_obj = math.inf
 
     def try_incumbent(x: np.ndarray) -> None:
         nonlocal best_x, best_obj
-        xr = np.asarray(x)[:n_pub].copy()
-        xr[int_mask_pub] = np.round(xr[int_mask_pub])
+        xr = np.array(x, dtype=float)
+        xr[int_mask] = np.round(xr[int_mask])
         if inst is not None:
             xr = repair_expansion(lp, xr)
-        obj = float(np.dot(lp.obj, xr)) if n_pub else 0.0
+        obj = float(np.dot(lp.obj, xr))
         if obj < best_obj - 1e-9:
             if inst is not None:
                 report = verify(inst, values_from_vector(lp, xr), claimed_objective=obj)
@@ -698,7 +607,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         if inst is None or not inst.youths:
             return
         try:
-            initial = _stays_from_lp(stay_cols, x, frequencies)
+            initial = _stays_from_lp(lp, x)
             try_incumbent(schedule_heuristic(lp, initial=initial, _deadline=deadline))
         except SolverError:
             pass
@@ -759,7 +668,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
 
             # Built here, not in a worker thread, when the first child comes up.
             if blocks is None and any(entry[3] is not None for entry in batch):
-                blocks = _ServiceBlocks(slp)
+                blocks = _ServiceBlocks(lp)
 
             def _solve(entry):
                 parent_bound, _, patch, parent_x, branch_col = entry
@@ -771,7 +680,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                 if config.time_limit is not None:
                     remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
                 if parent_x is None:
-                    return solve_lp(slp, bounds=(lb, ub), config=config, time_limit=remaining)
+                    return solve_lp(lp, bounds=(lb, ub), config=config, time_limit=remaining)
                 return blocks.resolve(parent_x, parent_bound, branch_col, lb, ub, config, remaining)
 
             if pool is not None and len(batch) > 1:
@@ -806,7 +715,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                     guided_incumbent(x)
                     if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
                         continue
-                branch_col = _select_branch_var(slp, x, config.integrality_eps)
+                branch_col = _select_branch_var(lp, x, config.integrality_eps)
                 if branch_col is None:
                     try_incumbent(x)
                     continue

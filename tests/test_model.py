@@ -14,15 +14,17 @@ from shelterplan.domain import (
 )
 from shelterplan.model import build, parse_variable_name, reachable_days, write_mps, write_triplets
 from shelterplan.solver import (
+    LP_OPTIMAL,
     STATUS_OPTIMAL,
     SolverConfig,
     branch_and_bound,
     brute_force,
     enumerate_schedules,
+    solve_lp,
     verify,
 )
 
-from conftest import bed_catalog, bed_need, make_instance, org, psi_org, youth
+from conftest import bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, youth
 
 
 def solve(inst, gap=0.0):
@@ -245,6 +247,26 @@ class TestPeriodicityRows:
         assert days == list(range(days[0], days[0] + 6))
         assert 1 <= days[0] <= 4
 
+    def test_stay_need_gets_w_rows_instead_of_gap_rows(self):
+        # A 3-day bed stay starting on day 1 or 2 at either of two orgs.
+        inst = make_instance(
+            10, bed_catalog(), [youth(1, 1, [bed_need(3, 1, 2)])],
+            [org(1), psi_org(2, [1])],
+        )
+        lp = build(inst)
+        w = [ref.name for ref in lp.col_refs if ref.kind == "W"]
+        assert w == ["W_y1_s1_i1_t1", "W_y1_s1_i1_t2", "W_y1_s2_i1_t1", "W_y1_s2_i1_t2"]
+        assert not any(name.startswith(("C4bg", "C4bm")) for name in lp.row_names)
+        families = {}
+        for name, fam in zip(lp.row_names, lp.row_family):
+            families.setdefault(name.split("_")[0], set()).add(fam)
+        # One stay row, one link row per (org, X day), one U row per org.
+        assert sum(name.startswith("C4bw") for name in lp.row_names) == 1
+        assert sum(name.startswith("C4bl") for name in lp.row_names) == 8
+        assert sum(name.startswith("C2dw") for name in lp.row_names) == 2
+        assert families["C4bw"] == families["C4bl"] == {"4b"}
+        assert families["C2dw"] == {"2d"}
+
 
 class TestBuild:
     def test_vacuous_instance(self):
@@ -258,15 +280,16 @@ class TestBuild:
     def test_hand_counted_columns(self):
         # Bed need d=3, window [1, 2], two organizations (org1 + catch-all):
         # X days are [a, b+d-1] = [1, 4] per org -> 8 X; 2 U; one E and one O
-        # per used (org, service, day) triple -> 8 each. Total 26.
+        # per used (org, service, day) triple -> 8 each; the stay starts on
+        # day 1 or 2 at either org -> 4 W. Total 30.
         inst = make_instance(
             10, bed_catalog(), [youth(1, 1, [bed_need(3, 1, 2)])],
             [org(1), psi_org(2, [1])],
         )
         lp = build(inst)
         kinds = lp.counts_by_kind()
-        assert kinds == {"U": 2, "X": 8, "E": 8, "O": 8}
-        assert lp.n_cols == 26
+        assert kinds == {"U": 2, "X": 8, "E": 8, "O": 8, "W": 4}
+        assert lp.n_cols == 30
 
     def test_micro_matches_enumeration(self):
         rng = np.random.default_rng(7)
@@ -312,6 +335,41 @@ class TestBuild:
             make_instance(10, bed_catalog(), [youth(1, 1, [bed_need(3, 1, 2)])], orgs)
         )
         assert set(tightened.column_names()) <= set(small.column_names())
+
+
+class TestSecondOpinion:
+    def test_milp_on_built_model_matches_brute_force(self):
+        # scipy's HiGHS MIP solves the built model as it stands, W included.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        for seed in range(20):
+            inst = micro_instance(np.random.default_rng(seed))
+            lp = build(inst)
+            c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+            res = milp(
+                c, integrality=np.asarray(lp.is_integer, dtype=int),
+                bounds=Bounds(*lp.bounds_arrays()),
+                constraints=[
+                    LinearConstraint(A_ub, -np.inf, b_ub), LinearConstraint(A_eq, b_eq, b_eq)
+                ],
+            )
+            bf = brute_force(inst)
+            if bf.status == STATUS_OPTIMAL:
+                assert res.status == 0, seed
+                assert res.fun == pytest.approx(bf.objective, abs=1e-6), seed
+            else:
+                assert res.status == 2, seed
+
+    @pytest.mark.parametrize("seed, root", [(3081, 11961.0), (3118, 11024.0)])
+    def test_root_bound_pinned(self, seed, root):
+        # The root LP value the solver reached on its private strengthened
+        # copy of the model before the W columns moved into the built model.
+        inst = datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=seed)
+        )
+        res = solve_lp(build(inst))
+        assert res.status == LP_OPTIMAL
+        assert res.objective == pytest.approx(root, rel=1e-9)
 
 
 class TestReachableDays:
@@ -361,11 +419,11 @@ class TestExports:
         ))
 
     def test_mps_digest_pinned(self, generated_lp, tmp_path):
-        # The digest of the file written before the one-pass writer.
+        # The digest of the file for the model with the stay (W) encoding.
         path = tmp_path / "model.mps"
         write_mps(generated_lp, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "2783a9abf775766a9d34308931ce08b122b8eba34d2e315a3889b915978092b7"
+            "453bb274f69860221164006204a451bc3151114f2d5c2b244e6e5c98e6f51417"
         )
 
     def test_mps_reads_back(self, generated_lp, tmp_path):

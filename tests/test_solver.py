@@ -192,14 +192,13 @@ class TestBranchAndBound:
         assert math.isfinite(sol.objective)  # heuristic incumbent exists
 
     def test_time_limit_zero_skips_heuristic(self, monkeypatch):
-        # Neither the heuristic nor the strengthened copy is built.
+        # The heuristic does not run.
         calls = []
-        for name in ("schedule_heuristic", "_extend_with_stay_vars"):
-            real = getattr(solver, name)
-            monkeypatch.setattr(
-                solver, name,
-                lambda *a, _name=name, _real=real, **kw: calls.append(_name) or _real(*a, **kw),
-            )
+        real = solver.schedule_heuristic
+        monkeypatch.setattr(
+            solver, "schedule_heuristic",
+            lambda *a, **kw: calls.append("schedule_heuristic") or real(*a, **kw),
+        )
         _, lp = desk_lp()
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, time_limit=0.0))
         assert calls == []
@@ -207,6 +206,18 @@ class TestBranchAndBound:
         assert sol.node_count == 0
         assert sol.objective == math.inf
         assert (sol.bound, sol.gap) == (-math.inf, math.inf)
+
+    def test_heuristic_point_satisfies_model(self):
+        # Each chosen stay sets its W column, so the incumbent is a point of
+        # the model it is scored on.
+        _, lp = desk_lp()
+        x = schedule_heuristic(lp)
+        assert any(x[col] == 1.0 for wmap in lp.w_cols.values() for col in wmap.values())
+        c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+        lb, ub = lp.bounds_arrays()
+        assert np.all(x >= lb - 1e-6) and np.all(x <= ub + 1e-6)
+        assert np.all(A_ub @ x <= b_ub + 1e-6)
+        assert np.allclose(A_eq @ x, b_eq, rtol=0.0, atol=1e-6)
 
     def test_heuristic_deadline_ends_after_first_pass(self):
         _, lp = desk_lp()
@@ -246,30 +257,29 @@ class TestBranchAndBound:
 class TestServiceBlocks:
     def test_block_resolve_matches_monolithic_lp(self):
         _, lp = desk_lp()
-        slp, _ = solver._extend_with_stay_vars(lp)
-        root = solve_lp(slp)
-        blocks = solver._ServiceBlocks(slp)
+        root = solve_lp(lp)
+        blocks = solver._ServiceBlocks(lp)
         n_blocks = int(blocks.of_col.max()) + 1
-        assert n_blocks == len({ref.i for ref in slp.col_refs})
-        c, A_ub, b_ub, A_eq, b_eq = slp.to_scipy()
-        lb0, ub0 = slp.bounds_arrays()
+        assert n_blocks == len({ref.i for ref in lp.col_refs})
+        c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+        lb0, ub0 = lp.bounds_arrays()
         config = SolverConfig()
 
         def dearest(col):
-            ref = slp.col_refs[col]
-            return max(slp.obj[x] for x in slp.x_cols[(ref.y, ref.s, ref.i)].values())
+            ref = lp.col_refs[col]
+            return max(lp.obj[x] for x in lp.x_cols[(ref.y, ref.s, ref.i)].values())
 
         moved = 0
         for b in range(0, n_blocks, 4):
             u_cols = [j for j in np.flatnonzero(blocks.of_col == b)
-                      if slp.col_refs[j].kind == "U"]
+                      if lp.col_refs[j].kind == "U"]
             # Forbid the most-used organization; force the dearest one.
             used = max(u_cols, key=lambda j: (root.x[j], -j))
             dear = max(u_cols, key=lambda j: (dearest(j), -j))
             for col, fixed in ((used, 0.0), (dear, 1.0)):
                 lb, ub = lb0.copy(), ub0.copy()
                 lb[col] = ub[col] = fixed
-                full = solve_lp(slp, bounds=(lb, ub), config=config)
+                full = solve_lp(lp, bounds=(lb, ub), config=config)
                 part = blocks.resolve(root.x, root.objective, col, lb, ub, config, None)
                 assert part.status == full.status == LP_OPTIMAL
                 assert part.objective == pytest.approx(full.objective, rel=1e-9)
