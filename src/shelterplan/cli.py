@@ -2,11 +2,11 @@
 
 Every command writes a run manifest next to its outputs (tool version,
 argument hash, wall clock, output digests). Outputs themselves contain no
-timestamps, so re-running a manifest with one solver worker reproduces the
-output files byte for byte.
+timestamps, so re-running a manifest reproduces the output files byte for
+byte.
 
-Exit codes: 0 success, 2 usage (click), 3 data or instance error,
-4 solver limit reached or infeasible, 5 internal verification failure.
+Exit codes: 0 success, 2 usage (click), 3 data or instance error or an
+infeasible instance, 4 solver limit reached, 5 internal verification failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import click
 
-from . import __version__
+from . import __version__, scenarios
 from .datagen import (
     DataFileError,
     GenerationConfig,
@@ -62,6 +62,11 @@ from .solver import (
 EXIT_DATA = 3
 EXIT_LIMIT = 4
 EXIT_VERIFY = 5
+
+# What loading or validating a malformed input file raises: DomainError,
+# DataFileError and json.JSONDecodeError are ValueErrors, a wrongly typed
+# field gives a TypeError, a missing one a KeyError.
+BAD_INPUT = (KeyError, TypeError, ValueError)
 
 
 def _sha256(path: str) -> str:
@@ -180,10 +185,10 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
     try:
         instance = load_instance(instance_path)
         instance.validate()
-        lp = build(instance)
-    except (DomainError, DataFileError, json.JSONDecodeError, KeyError) as exc:
+    except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
+    lp = build(instance)
     outputs = []
     if mps_out:
         lp.write_mps(mps_out)
@@ -209,7 +214,8 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
               help="Relative MIP-gap stopping tolerance.")
 @click.option("--time-limit", type=float, default=None)
 @click.option("--node-limit", type=int, default=1_000_000, show_default=True)
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
+              help="Search workers; only 1, one node at a time.")
 @click.option("--mps-out", type=click.Path(), default=None)
 def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> None:
     """Solve an instance to the requested gap and verify the incumbent."""
@@ -222,13 +228,11 @@ def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> 
     try:
         instance = load_instance(instance_path)
         instance.validate()
-        lp = build(instance)
-    except (DomainError, DataFileError, json.JSONDecodeError, KeyError) as exc:
+    except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
-    config = SolverConfig(
-        rel_gap=gap, time_limit=time_limit, node_limit=node_limit, threads=threads,
-    )
+    lp = build(instance)
+    config = SolverConfig(rel_gap=gap, time_limit=time_limit, node_limit=node_limit)
     outputs = []
     if mps_out:
         lp.write_mps(mps_out)
@@ -271,7 +275,7 @@ def verify_cmd(instance_path, solution_path, out) -> None:
     try:
         instance = load_instance(instance_path)
         solution = load_solution(solution_path)
-    except (DomainError, json.JSONDecodeError, KeyError) as exc:
+    except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     report = verify(instance, solution)
@@ -303,7 +307,9 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     paths = []
     categories = list(instance.services.categories())
 
-    beds = bed_sources(instance, solution)
+    # Looked up on the module, where bench/tracing.py wraps it.
+    parsed = scenarios._solution_tables(instance, solution)
+    beds = bed_sources(instance, solution, parsed)
     rows = [["organization", "kind", "existing", "extra", "overflow", "incompatibility"]]
     for org in instance.organizations:
         if org.kind == HOUSING:
@@ -316,7 +322,7 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     _write_csv(path, rows)
     paths.append(path)
 
-    pct = expansion_percentages(instance, solution)
+    pct = expansion_percentages(instance, solution, parsed)
     rows = [["organization", "existing_beds", "peak_extra", "peak_overflow", "pct_increase"]]
     for org in instance.housing_orgs():
         val = pct["per_org"][org.id]
@@ -327,7 +333,7 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     _write_csv(path, rows)
     paths.append(path)
 
-    bd = service_source_breakdown(instance, solution)
+    bd = service_source_breakdown(instance, solution, parsed)
     rows = [["category", "in_house", "extra", "overflow", "referral", "incompatibility"]]
     for cat in categories:
         row = bd["by_category"][cat]
@@ -345,7 +351,7 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     paths.append(path)
 
     org_ids = [org.id for org in instance.housing_orgs()]
-    series = _overflow_series(instance, solution)
+    series = _overflow_series(instance, solution, parsed)
     rows = [["day"] + [f"org_{s}" for s in org_ids] + ["system"]]
     for t in range(instance.horizon_T):
         rows.append([t + 1] + [int(series[s][t]) for s in org_ids + [None]])
@@ -365,7 +371,7 @@ def report(instance_path, solution_path, out_dir) -> None:
     try:
         instance = load_instance(instance_path)
         solution = load_solution(solution_path)
-    except (DomainError, json.JSONDecodeError, KeyError) as exc:
+    except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_DATA)
     paths = write_report_csvs(instance, solution, out_dir)

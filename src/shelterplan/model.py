@@ -59,8 +59,6 @@ SENSE_LE = "<="
 SENSE_GE = ">="
 SENSE_EQ = "="
 
-KIND_ORDER = {"U": 0, "X": 1, "E": 2, "O": 3, "W": 4}
-
 # Index letters that key each kind's values: U (y, s, i), X (y, s, i, t),
 # E and O (s, i, t).
 KEY_FIELDS = {"U": "ysi", "X": "ysit", "E": "sit", "O": "sit"}

@@ -76,19 +76,23 @@ def experiment_grid(
 
 
 def _solution_tables(instance: ProblemInstance, solution: Solution):
-    """The X, E and O values of at least 0.5, rounded, by structured keys."""
+    """The X, E and O values of at least 0.5, rounded, by structured keys.
+
+    Each metric below parses the solution with it, unless its caller passes
+    the result in as ``parsed``, so that one report parses a solution once.
+    """
     tables = index_values(
         {name: int(round(v)) for name, v in solution.values.items() if not v < 0.5}
     )
     return tables["X"], tables["E"], tables["O"]
 
 
-def _overflow_series(instance: ProblemInstance, solution: Solution) -> dict:
+def _overflow_series(instance: ProblemInstance, solution: Solution, parsed=None) -> dict:
     """Per-day overflow bed referrals by organization id, and of all under None.
 
     Every series comes from one parse of the solution.
     """
-    _, _, o = _solution_tables(instance, solution)
+    _, _, o = parsed or _solution_tables(instance, solution)
     series = {key: np.zeros(instance.horizon_T)
               for key in [None] + [org.id for org in instance.organizations]}
     for (s, i, t), v in o.items():
@@ -105,7 +109,7 @@ def overflow_timeseries(
     return _overflow_series(instance, solution).get(org_id, np.zeros(instance.horizon_T))
 
 
-def bed_sources(instance: ProblemInstance, solution: Solution) -> dict:
+def bed_sources(instance: ProblemInstance, solution: Solution, parsed=None) -> dict:
     """Youth counts by the bed source they relied on, per organization.
 
     Each youth counts once, at the most constrained tier (existing < extra
@@ -113,7 +117,7 @@ def bed_sources(instance: ProblemInstance, solution: Solution) -> dict:
     a day are assigned to youth in id order. Youth whose bed sits at the
     catch-all organization count as incompatible.
     """
-    x, e, o = _solution_tables(instance, solution)
+    x, e, o = parsed or _solution_tables(instance, solution)
     org_by_id = {org.id: org for org in instance.organizations}
     bed_days: dict[tuple[int, int], list[int]] = {}
     youth_org: dict[int, int] = {}
@@ -157,13 +161,13 @@ def _bed_peaks(table: Mapping[tuple[int, int, int], int], org_ids) -> dict[int, 
     return peaks
 
 
-def expansion_percentages(instance: ProblemInstance, solution: Solution) -> dict:
+def expansion_percentages(instance: ProblemInstance, solution: Solution, parsed=None) -> dict:
     """Peak (extra beds + overflow referrals) relative to existing beds, per org.
 
     Also returns each housing organization's ``peak_extra`` and
     ``peak_overflow`` beds.
     """
-    _, e, o = _solution_tables(instance, solution)
+    _, e, o = parsed or _solution_tables(instance, solution)
     org_ids = [org.id for org in instance.housing_orgs()]
     peak_extra, peak_overflow = _bed_peaks(e, org_ids), _bed_peaks(o, org_ids)
     out: dict[int, float | None] = {}
@@ -185,7 +189,9 @@ def expansion_percentages(instance: ProblemInstance, solution: Solution) -> dict
     }
 
 
-def service_source_breakdown(instance: ProblemInstance, solution: Solution) -> dict:
+def service_source_breakdown(
+    instance: ProblemInstance, solution: Solution, parsed=None
+) -> dict:
     """Units by category and source, plus the extra-hours heatmap.
 
     Sources: existing in-house capacity, extra in-house units, overflow at a
@@ -194,7 +200,7 @@ def service_source_breakdown(instance: ProblemInstance, solution: Solution) -> d
     is extra in-house units plus referral units attributed to the youth's
     bed organization.
     """
-    x, e, o = _solution_tables(instance, solution)
+    x, e, o = parsed or _solution_tables(instance, solution)
     org_by_id = {org.id: org for org in instance.organizations}
     categories = instance.services.categories()
     breakdown = {
@@ -245,9 +251,9 @@ def service_source_breakdown(instance: ProblemInstance, solution: Solution) -> d
     return {"by_category": breakdown, "heatmap": heatmap}
 
 
-def referral_cost(instance: ProblemInstance, solution: Solution) -> float:
+def referral_cost(instance: ProblemInstance, solution: Solution, parsed=None) -> float:
     """Total assignment cost incurred at referral providers."""
-    x, _, _ = _solution_tables(instance, solution)
+    x, _, _ = parsed or _solution_tables(instance, solution)
     org_by_id = {org.id: org for org in instance.organizations}
     total = 0.0
     for (y, s, i, t), v in x.items():
@@ -382,7 +388,8 @@ def run_scenario(
         gaps.append(solution.gap)
         objectives.append(solution.objective)
 
-        by_org = _overflow_series(instance, solution)
+        parsed = _solution_tables(instance, solution)
+        by_org = _overflow_series(instance, solution, parsed)
         series = by_org[None]
         max_ofl.append(float(series.max()) if series.size else 0.0)
         mean_ofl.append(float(series.mean()) if series.size else 0.0)
@@ -391,9 +398,9 @@ def run_scenario(
             acc = series_org_acc.setdefault(o.id, np.zeros(instance.horizon_T))
             acc += by_org[o.id]
         ofl_cost.append(solution.decomposition.get("overflow", 0.0))
-        ref_cost.append(referral_cost(instance, solution))
+        ref_cost.append(referral_cost(instance, solution, parsed))
 
-        beds = bed_sources(instance, solution)
+        beds = bed_sources(instance, solution, parsed)
         bed_total["incompatibility"] += beds["incompatibility"]
         bed_total["served"] += beds["served"]
         for s, bucket in beds["per_org"].items():
@@ -403,13 +410,13 @@ def run_scenario(
             for key, v in bucket.items():
                 acc[key] += v
 
-        pct = expansion_percentages(instance, solution)
+        pct = expansion_percentages(instance, solution, parsed)
         expansion_avgs.append(pct["system_average"])
         for s, v in pct["per_org"].items():
             if v is not None:
                 expansion_org_acc.setdefault(s, []).append(v)
 
-        bd = service_source_breakdown(instance, solution)
+        bd = service_source_breakdown(instance, solution, parsed)
         for cat, row in bd["by_category"].items():
             acc = breakdown_total.setdefault(cat, dict.fromkeys(row, 0))
             for key, v in row.items():

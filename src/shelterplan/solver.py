@@ -32,7 +32,6 @@ import itertools
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -57,6 +56,12 @@ LP_INFEASIBLE = "infeasible"
 LP_UNBOUNDED = "unbounded"
 LP_LIMIT = "limit"
 
+# HiGHS primal and dual feasibility tolerance, also applied to the rows of
+# an LP without columns.
+LP_TOLERANCE = 1e-7
+# Distance from the nearest integer above which a column counts as fractional.
+INTEGRALITY_EPS = 1e-6
+
 
 class SolverError(RuntimeError):
     """Numerical failure or internal inconsistency while solving."""
@@ -75,16 +80,10 @@ class SolverConfig:
     rel_gap: float = 0.01
     time_limit: float | None = None
     node_limit: int = 1_000_000
-    lp_tolerance: float = 1e-7
-    integrality_eps: float = 1e-6
-    threads: int = 1
-    check_weak_duality: bool = False
 
     def __post_init__(self) -> None:
         if self.rel_gap < 0:
             raise ValueError("rel_gap must be >= 0")
-        if self.lp_tolerance <= 0 or self.integrality_eps <= 0:
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -156,7 +155,6 @@ def save_solution(solution: Solution, path: str) -> None:
 def solve_lp(
     lp: LinearProgram,
     bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    config: SolverConfig | None = None,
     time_limit: float | None = None,
 ) -> LpResult:
     """Solve the LP relaxation; deterministic for identical input.
@@ -164,24 +162,23 @@ def solve_lp(
     ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
     returns LP_LIMIT.
     """
-    config = config or SolverConfig()
     if lp.n_cols == 0:
         rhs = np.asarray(lp.rhs, dtype=float)
         sense = np.asarray(lp.row_sense)
         ok = True
         for sgn, r in zip(sense, rhs):
-            if sgn == "<=" and r < -config.lp_tolerance:
+            if sgn == "<=" and r < -LP_TOLERANCE:
                 ok = False
-            elif sgn == ">=" and r > config.lp_tolerance:
+            elif sgn == ">=" and r > LP_TOLERANCE:
                 ok = False
-            elif sgn == "=" and abs(r) > config.lp_tolerance:
+            elif sgn == "=" and abs(r) > LP_TOLERANCE:
                 ok = False
         if ok:
             return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
         return LpResult(LP_INFEASIBLE, math.inf, None)
 
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
-    return _highs(*lp.to_scipy(), lb, ub, config, time_limit)
+    return _highs(*lp.to_scipy(), lb, ub, time_limit)
 
 
 def linprog(*args, **kwargs):
@@ -195,11 +192,11 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, config: SolverConfig, time_limit) -> LpResult:
+def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, time_limit) -> LpResult:
     """One ``linprog`` call: HiGHS options, time limit and status mapping."""
     options = {
-        "primal_feasibility_tolerance": config.lp_tolerance,
-        "dual_feasibility_tolerance": config.lp_tolerance,
+        "primal_feasibility_tolerance": LP_TOLERANCE,
+        "dual_feasibility_tolerance": LP_TOLERANCE,
     }
     if time_limit is not None:
         options["time_limit"] = time_limit
@@ -232,7 +229,7 @@ class _ServiceBlocks:
     block of its columns. A generated model has no row that spans two
     services, so every service is its own block; a model with a linking
     row gets fewer, larger blocks. Every block's slice of the LP is cut
-    here, so that worker threads only read it.
+    here.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -273,14 +270,14 @@ class _ServiceBlocks:
                 part += [A[rows][:, cols], rhs[rows]] if rows.size else [None, None]
             self.parts.append(part)
 
-    def resolve(self, x, value, col, lb, ub, config, time_limit) -> LpResult:
+    def resolve(self, x, value, col, lb, ub, time_limit) -> LpResult:
         """LP of a child node: its parent's ``x`` and ``value``, with ``col``'s block re-solved.
 
         The LP is separable by block, so the parent's optimal ``x`` is optimal
         on every block whose bounds the branch on ``col`` left unchanged.
         """
         cols, c, A_ub, b_ub, A_eq, b_eq = self.parts[self.of_col[col]]
-        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb[cols], ub[cols], config, time_limit)
+        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb[cols], ub[cols], time_limit)
         if res.status != LP_OPTIMAL:
             return res
         out = x.copy()
@@ -539,13 +536,13 @@ def _stays_from_lp(
 # ---------------------------------------------------------------------------
 
 
-def _select_branch_var(lp: LinearProgram, x: np.ndarray, eps: float) -> int | None:
+def _select_branch_var(lp: LinearProgram, x: np.ndarray) -> int | None:
     """Pick the most fractional column: fractional U first, then X, then E/O.
 
     W is integral wherever U and X are, so it is never picked.
     """
     frac = np.abs(x - np.round(x))
-    is_frac = (np.asarray(lp.is_integer, dtype=bool) & (frac > eps)).nonzero()[0]
+    is_frac = (np.asarray(lp.is_integer, dtype=bool) & (frac > INTEGRALITY_EPS)).nonzero()[0]
     if is_frac.size == 0:
         return None
     best_col, best_rank = None, None
@@ -630,15 +627,9 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     blocks: _ServiceBlocks | None = None
     node_count = 0
     status = None
-    best_bound = -math.inf
-    saw_infeasible_root = False
 
     def open_bound() -> float:
-        bounds = [entry[0] for entry in heap] + [entry[0] for entry in dive]
-        if not bounds:
-            return best_obj
-        low = min(bounds)
-        return low if low != -math.inf else -math.inf
+        return min([entry[0] for entry in heap + dive], default=best_obj)
 
     def current_gap() -> float:
         if best_obj == math.inf:
@@ -648,113 +639,81 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             return math.inf
         return (best_obj - ob) / max(abs(best_obj), 1e-9)
 
-    pool = ThreadPoolExecutor(max_workers=config.threads) if config.threads > 1 else None
-    try:
-        while heap or dive:
-            if best_obj < math.inf and current_gap() <= config.rel_gap:
-                status = STATUS_GAP
-                break
-            if node_count >= config.node_limit:
-                status = STATUS_NODES
-                break
-            if config.time_limit is not None and time.monotonic() - t_start > config.time_limit:
-                status = STATUS_TIME
-                break
+    while heap or dive:
+        if best_obj < math.inf and current_gap() <= config.rel_gap:
+            status = STATUS_GAP
+            break
+        if node_count >= config.node_limit:
+            status = STATUS_NODES
+            break
+        if config.time_limit is not None and time.monotonic() - t_start > config.time_limit:
+            status = STATUS_TIME
+            break
 
-            batch: list[tuple] = []
-            width = config.threads if config.threads > 1 else 1
-            while len(batch) < width and (dive or heap):
-                batch.append(dive.pop() if dive else heapq.heappop(heap))
-
-            # Built here, not in a worker thread, when the first child comes up.
-            if blocks is None and any(entry[3] is not None for entry in batch):
+        entry = dive.pop() if dive else heapq.heappop(heap)
+        parent_bound, _, patch, parent_x, branch_col = entry
+        lb = root_lb.copy()
+        ub = root_ub.copy()
+        for col, (lo, hi) in patch.items():
+            lb[col], ub[col] = lo, hi
+        remaining = None
+        if config.time_limit is not None:
+            remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
+        if parent_x is None:
+            res = solve_lp(lp, bounds=(lb, ub), time_limit=remaining)
+        else:
+            if blocks is None:
                 blocks = _ServiceBlocks(lp)
-
-            def _solve(entry):
-                parent_bound, _, patch, parent_x, branch_col = entry
-                lb = root_lb.copy()
-                ub = root_ub.copy()
-                for col, (lo, hi) in patch.items():
-                    lb[col], ub[col] = lo, hi
-                remaining = None
-                if config.time_limit is not None:
-                    remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
-                if parent_x is None:
-                    return solve_lp(lp, bounds=(lb, ub), config=config, time_limit=remaining)
-                return blocks.resolve(parent_x, parent_bound, branch_col, lb, ub, config, remaining)
-
-            if pool is not None and len(batch) > 1:
-                results = list(pool.map(_solve, batch))
-            else:
-                results = [_solve(entry) for entry in batch]
-
-            for entry, res in zip(batch, results):
-                patch = entry[2]
-                node_count += 1
-                if res.status == LP_LIMIT:
-                    # The node stays open, so its parent bound still counts.
-                    heapq.heappush(heap, entry)
-                    status = STATUS_TIME
-                    continue
-                if res.status == LP_INFEASIBLE:
-                    if node_count == 1 and not patch:
-                        saw_infeasible_root = True
-                    continue
-                if res.status == LP_UNBOUNDED:
-                    raise SolverError("LP relaxation unbounded; model bounds missing")
-                node_bound = res.objective
-                best_bound = max(best_bound, min(node_bound, best_obj))
-                if config.check_weak_duality and best_obj < math.inf:
-                    ob = min(open_bound(), node_bound)
-                    if ob > best_obj + 1e-6:
-                        raise SolverError("weak duality violated: bound above incumbent")
-                if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
-                    continue
-                x = res.x
-                if node_count == 1 or node_count % 50 == 0:
-                    guided_incumbent(x)
-                    if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
-                        continue
-                branch_col = _select_branch_var(lp, x, config.integrality_eps)
-                if branch_col is None:
-                    try_incumbent(x)
-                    continue
-                v = float(x[branch_col])
-                floor_patch = dict(patch)
-                lo0, hi0 = floor_patch.get(branch_col, (root_lb[branch_col], root_ub[branch_col]))
-                floor_patch[branch_col] = (lo0, float(math.floor(v)))
-                ceil_patch = dict(patch)
-                ceil_patch[branch_col] = (float(math.ceil(v)), hi0)
-                children = [
-                    (node_bound, next(seq), floor_patch, x, branch_col),
-                    (node_bound, next(seq), ceil_patch, x, branch_col),
-                ]
-                # Dive toward the side the LP value leans to; the sibling
-                # goes to the best-bound heap.
-                if v - math.floor(v) >= 0.5:
-                    children.reverse()
-                heapq.heappush(heap, children[0])
-                dive.append(children[1])
-            if status == STATUS_TIME:
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False)
+            res = blocks.resolve(parent_x, parent_bound, branch_col, lb, ub, remaining)
+        node_count += 1
+        if res.status == LP_LIMIT:
+            # The node stays open, so its parent bound still counts.
+            heapq.heappush(heap, entry)
+            status = STATUS_TIME
+            break
+        if res.status == LP_INFEASIBLE:
+            continue
+        if res.status == LP_UNBOUNDED:
+            raise SolverError("LP relaxation unbounded; model bounds missing")
+        node_bound = res.objective
+        if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
+            continue
+        x = res.x
+        if node_count == 1 or node_count % 50 == 0:
+            guided_incumbent(x)
+            if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
+                continue
+        branch_col = _select_branch_var(lp, x)
+        if branch_col is None:
+            try_incumbent(x)
+            continue
+        v = float(x[branch_col])
+        floor_patch = dict(patch)
+        lo0, hi0 = floor_patch.get(branch_col, (root_lb[branch_col], root_ub[branch_col]))
+        floor_patch[branch_col] = (lo0, float(math.floor(v)))
+        ceil_patch = dict(patch)
+        ceil_patch[branch_col] = (float(math.ceil(v)), hi0)
+        children = [
+            (node_bound, next(seq), floor_patch, x, branch_col),
+            (node_bound, next(seq), ceil_patch, x, branch_col),
+        ]
+        # Dive toward the side the LP value leans to; the sibling goes to
+        # the best-bound heap.
+        if v - math.floor(v) >= 0.5:
+            children.reverse()
+        heapq.heappush(heap, children[0])
+        dive.append(children[1])
 
     if status is None:
         status = STATUS_OPTIMAL
 
     if best_x is None:
-        if saw_infeasible_root or (not heap and not dive):
+        # With no incumbent, nothing is pruned by bound: every closed node was infeasible.
+        if not heap and not dive:
             return _without_incumbent(STATUS_INFEASIBLE, math.inf, node_count)
         return _without_incumbent(status, open_bound(), node_count)
 
-    if status == STATUS_OPTIMAL:
-        final_bound = best_obj
-    else:
-        final_bound = min(open_bound(), best_obj)
-        if final_bound == -math.inf:
-            final_bound = best_bound
+    final_bound = best_obj if status == STATUS_OPTIMAL else min(open_bound(), best_obj)
     gap = max(0.0, (best_obj - final_bound) / max(abs(best_obj), 1e-9))
     if gap <= 1e-12 and status == STATUS_GAP:
         status = STATUS_OPTIMAL

@@ -33,9 +33,11 @@ GEN_ARGS = [
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         # Only solving needs scipy; every other command starts without it.
+        # The search runs no thread pool, so concurrent.futures stays out too.
         code = (
             "import sys, shelterplan.cli; "
-            "print([m for m in ('scipy.sparse', 'scipy.optimize') if m in sys.modules])"
+            "print([m for m in ('scipy.sparse', 'scipy.optimize', 'concurrent.futures') "
+            "if m in sys.modules])"
         )
         src = os.path.dirname(os.path.dirname(shelterplan.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -180,6 +182,46 @@ class TestSolve:
             )
             assert result.exit_code == 3
 
+    def test_only_one_thread_is_accepted(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            result = runner.invoke(
+                main, ["solve", "--instance", "inst.json", "--threads", "2", "--out", "s.json"]
+            )
+            assert result.exit_code == 2
+            assert not os.path.exists("s.json")
+
+
+class TestMalformedInput:
+    """A wrongly typed field in an input file is a data error (exit 3)."""
+
+    @pytest.fixture()
+    def solved(self, runner, tmp_path):
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            assert runner.invoke(
+                main, ["solve", "--instance", "inst.json", "--out", "sol.json"]
+            ).exit_code == 0
+            yield json.load(open("sol.json"))
+
+    @pytest.mark.parametrize("field, value", [("objective", "abc"), ("values", [1, 2])])
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_bad_solution_field(self, runner, solved, command, field, value):
+        json.dump(dict(solved, **{field: value}), open("bad.json", "w"))
+        result = runner.invoke(
+            main, [command, "--instance", "inst.json", "--solution", "bad.json"]
+        )
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
+
+    def test_bad_instance_horizon(self, runner, solved):
+        doc = json.load(open("inst.json"))
+        doc["horizon_T"] = "sixty"
+        json.dump(doc, open("bad.json", "w"))
+        result = runner.invoke(main, ["solve", "--instance", "bad.json", "--out", "s.json"])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
+
 
 class TestBuildAndReport:
     def test_build_exports(self, runner, tmp_path):
@@ -240,6 +282,25 @@ class TestBuildAndReport:
                 s = int(row["organization"])
                 assert int(row["peak_extra"]) == peaks.get(("E", s), 0)
                 assert int(row["peak_overflow"]) == peaks.get(("O", s), 0)
+
+
+    def test_report_parses_the_solution_once(self, runner, tmp_path, monkeypatch):
+        from shelterplan import cli, scenarios
+
+        calls = []
+        real = scenarios._solution_tables
+        monkeypatch.setattr(
+            scenarios, "_solution_tables", lambda *a: calls.append(1) or real(*a)
+        )
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            assert runner.invoke(
+                main, ["solve", "--instance", "inst.json", "--out", "sol.json"]
+            ).exit_code == 0
+            inst = shelterplan.domain.load_instance("inst.json")
+            sol = shelterplan.solver.load_solution("sol.json")
+            assert len(cli.write_report_csvs(inst, sol, "rep")) == 5
+        assert calls == [1]
 
 
 class TestScenario:

@@ -192,12 +192,21 @@ class TestServiceBreakdown:
 
 
 class TestScenarioRuns:
-    def test_base_delta_is_zero_against_itself(self):
-        spec = ScenarioSpec("base", {}, seeds=(11,))
+    def test_base_delta_is_zero_against_itself(self, monkeypatch):
+        from shelterplan import scenarios
+
+        # One parse of the solution per seed feeds every metric.
+        calls = []
+        real = scenarios._solution_tables
+        monkeypatch.setattr(
+            scenarios, "_solution_tables", lambda *a: calls.append(1) or real(*a)
+        )
+        spec = ScenarioSpec("base", {}, seeds=(11, 12))
         base_cfg = datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1)
         rep = run_scenario(spec, base_cfg, SolverConfig())
         apply_base_deltas([rep])
         assert rep.overflow_cost_change_pct == 0.0
+        assert calls == [1, 1]
 
     def test_metrics_recomputable_from_serialized_solution(self, tmp_path):
         from shelterplan.solver import load_solution, save_solution

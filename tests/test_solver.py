@@ -12,7 +12,6 @@ from shelterplan.solver import (
     LP_INFEASIBLE,
     LP_LIMIT,
     LP_OPTIMAL,
-    STATUS_GAP,
     STATUS_INFEASIBLE,
     STATUS_NODES,
     STATUS_OPTIMAL,
@@ -164,21 +163,13 @@ class TestBranchAndBound:
         assert a.node_count == b.node_count
         assert a.values == b.values
 
-    def test_threads_agree_within_gap(self):
-        rng = np.random.default_rng(55)
-        inst = micro_instance(rng)
-        lp = build(inst)
-        one = branch_and_bound(lp, SolverConfig(rel_gap=0.01, threads=1))
-        two = branch_and_bound(lp, SolverConfig(rel_gap=0.01, threads=2))
-        assert two.objective <= one.objective * 1.011 + 1e-9
-        assert one.objective <= two.objective * 1.011 + 1e-9
-
-    def test_weak_duality_check_passes(self):
-        rng = np.random.default_rng(31)
-        inst = micro_instance(rng)
-        sol = branch_and_bound(build(inst), SolverConfig(check_weak_duality=True))
-        assert sol.status in (STATUS_OPTIMAL, STATUS_GAP)
-        assert sol.bound <= sol.objective + 1e-6
+    def test_bound_and_incumbent_bracket_the_optimum(self, micro_pool):
+        # Stopped after the root, the search still reports a valid bound.
+        for inst in micro_pool[:12]:
+            optimum = brute_force(inst).objective
+            sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0, node_limit=1))
+            assert sol.bound <= optimum + 1e-6
+            assert optimum <= sol.objective + 1e-6
 
     def test_time_limit_returns_best_incumbent(self, monkeypatch):
         # The limit passes while the first heuristic runs.
@@ -263,7 +254,6 @@ class TestServiceBlocks:
         assert n_blocks == len({ref.i for ref in lp.col_refs})
         c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         lb0, ub0 = lp.bounds_arrays()
-        config = SolverConfig()
 
         def dearest(col):
             ref = lp.col_refs[col]
@@ -279,8 +269,8 @@ class TestServiceBlocks:
             for col, fixed in ((used, 0.0), (dear, 1.0)):
                 lb, ub = lb0.copy(), ub0.copy()
                 lb[col] = ub[col] = fixed
-                full = solve_lp(lp, bounds=(lb, ub), config=config)
-                part = blocks.resolve(root.x, root.objective, col, lb, ub, config, None)
+                full = solve_lp(lp, bounds=(lb, ub))
+                part = blocks.resolve(root.x, root.objective, col, lb, ub, None)
                 assert part.status == full.status == LP_OPTIMAL
                 assert part.objective == pytest.approx(full.objective, rel=1e-9)
                 moved += part.objective > root.objective + 1e-6
