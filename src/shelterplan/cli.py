@@ -213,7 +213,8 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
 @click.option("--gap", type=float, default=0.01, show_default=True,
               help="Relative MIP-gap stopping tolerance.")
 @click.option("--time-limit", type=float, default=None)
-@click.option("--node-limit", type=int, default=1_000_000, show_default=True)
+@click.option("--node-limit", type=int, default=1_000_000, show_default=True,
+              help="Most search nodes; a node is one service block's LP.")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
               help="Search workers; only 1, one node at a time.")
 @click.option("--mps-out", type=click.Path(), default=None)
@@ -274,6 +275,7 @@ def verify_cmd(instance_path, solution_path, out) -> None:
     """Re-check a solution file against its instance, family by family."""
     try:
         instance = load_instance(instance_path)
+        instance.validate()
         solution = load_solution(solution_path)
     except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)
@@ -370,6 +372,7 @@ def report(instance_path, solution_path, out_dir) -> None:
     t0 = time.monotonic()
     try:
         instance = load_instance(instance_path)
+        instance.validate()
         solution = load_solution(solution_path)
     except BAD_INPUT as exc:
         click.echo(f"error: {exc}", err=True)

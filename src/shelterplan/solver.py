@@ -4,12 +4,10 @@ The LP relaxations are solved with scipy's HiGHS interface; the search,
 branching, incumbent handling and stopping rule live here. A schedule-aware
 greedy heuristic provides the first incumbent.
 
-The root node solves the whole LP relaxation. A child node re-solves only
-the service block of its branching column and keeps its parent's solution
-on every other block. This is exact: every row of the model involves one
-service only, so the LP is separable by service, the parent's optimal x is
-optimal on every block the branch left unchanged, and the child's value is
-the parent's value with block b's part replaced by the re-solved one.
+Every row of the model involves one service, so the model is separable by
+service block and the search keeps one tree per block: a node is one
+block's LP, the model's bound is the sum of the block bounds, and an
+integral point of one block replaces that block's part of the incumbent.
 
 One rule prices a day's load at an organization, ``cheapest_split``: the
 load above existing capacity goes to extra in-house units (cost gamma, at
@@ -121,7 +119,7 @@ class Solution:
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Solution":
         return cls(
-            values=dict(doc["values"]),
+            values={name: float(v) for name, v in dict(doc["values"]).items()},
             objective=float(doc["objective"]),
             bound=float(doc["bound"]),
             gap=float(doc["gap"]),
@@ -163,17 +161,7 @@ def solve_lp(
     returns LP_LIMIT.
     """
     if lp.n_cols == 0:
-        rhs = np.asarray(lp.rhs, dtype=float)
-        sense = np.asarray(lp.row_sense)
-        ok = True
-        for sgn, r in zip(sense, rhs):
-            if sgn == "<=" and r < -LP_TOLERANCE:
-                ok = False
-            elif sgn == ">=" and r > LP_TOLERANCE:
-                ok = False
-            elif sgn == "=" and abs(r) > LP_TOLERANCE:
-                ok = False
-        if ok:
+        if _ServiceBlocks(lp).rows_hold:
             return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
         return LpResult(LP_INFEASIBLE, math.inf, None)
 
@@ -229,13 +217,14 @@ class _ServiceBlocks:
     block of its columns. A generated model has no row that spans two
     services, so every service is its own block; a model with a linking
     row gets fewer, larger blocks. Every block's slice of the LP is cut
-    here.
+    here. A row without columns belongs to no block; ``rows_hold`` says
+    whether all such rows hold.
     """
 
     def __init__(self, lp: LinearProgram):
         c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         _, service = np.unique([ref.i for ref in lp.col_refs], return_inverse=True)
-        root = list(range(int(service.max()) + 1))
+        root = list(range(service.max(initial=-1) + 1))
 
         def find(a: int) -> int:
             while root[a] != a:
@@ -259,30 +248,21 @@ class _ServiceBlocks:
             firsts.append(first)
         _, block_of_service = np.unique([find(a) for a in range(len(root))], return_inverse=True)
         self.of_col = block_of_service[service]
-        row_blocks = [np.where(first >= 0, self.of_col[first], -1) for first in firsts]
+        # Block of each row, -1 (the appended entry) for a row without columns.
+        row_blocks = [np.append(self.of_col, -1)[first] for first in firsts]
+        ub_free, eq_free = (rhs[row_block < 0] if rhs is not None else np.zeros(0)
+                            for rhs, row_block in zip((b_ub, b_eq), row_blocks))
+        self.rows_hold = bool(np.all(ub_free >= -LP_TOLERANCE)
+                              and np.all(np.abs(eq_free) <= LP_TOLERANCE))
         # (cols, c, A_ub, b_ub, A_eq, b_eq) of each block.
         self.parts = []
-        for blk in range(int(block_of_service.max()) + 1):
+        for blk in range(self.of_col.max(initial=-1) + 1):
             cols = np.flatnonzero(self.of_col == blk)
             part = [cols, c[cols]]
             for A, rhs, row_block in ((A_ub, b_ub, row_blocks[0]), (A_eq, b_eq, row_blocks[1])):
                 rows = np.flatnonzero(row_block == blk)
                 part += [A[rows][:, cols], rhs[rows]] if rows.size else [None, None]
             self.parts.append(part)
-
-    def resolve(self, x, value, col, lb, ub, time_limit) -> LpResult:
-        """LP of a child node: its parent's ``x`` and ``value``, with ``col``'s block re-solved.
-
-        The LP is separable by block, so the parent's optimal ``x`` is optimal
-        on every block whose bounds the branch on ``col`` left unchanged.
-        """
-        cols, c, A_ub, b_ub, A_eq, b_eq = self.parts[self.of_col[col]]
-        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb[cols], ub[cols], time_limit)
-        if res.status != LP_OPTIMAL:
-            return res
-        out = x.copy()
-        out[cols] = res.x
-        return LpResult(LP_OPTIMAL, value - float(c @ x[cols]) + res.objective, out)
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +516,22 @@ def _stays_from_lp(
 # ---------------------------------------------------------------------------
 
 
-def _select_branch_var(lp: LinearProgram, x: np.ndarray) -> int | None:
-    """Pick the most fractional column: fractional U first, then X, then E/O.
+def _select_branch_var(lp: LinearProgram, cols: np.ndarray, x: np.ndarray) -> int | None:
+    """Pick the most fractional of ``cols`` at their values ``x``: U first, then X, then E/O.
 
-    W is integral wherever U and X are, so it is never picked.
+    Returns a position in ``cols``. W is integral wherever U and X are, so it
+    is never picked.
     """
     frac = np.abs(x - np.round(x))
-    is_frac = (np.asarray(lp.is_integer, dtype=bool) & (frac > INTEGRALITY_EPS)).nonzero()[0]
-    if is_frac.size == 0:
-        return None
-    best_col, best_rank = None, None
-    for col in is_frac:
-        kind = lp.col_refs[col].kind
+    is_frac = (np.asarray(lp.is_integer, dtype=bool)[cols] & (frac > INTEGRALITY_EPS)).nonzero()[0]
+    best_j, best_rank = None, None
+    for j in is_frac:
+        kind = lp.col_refs[cols[j]].kind
         tier = 0 if kind == "U" else (1 if kind == "X" else 2)
-        rank = (tier, abs(frac[col] - 0.5), col)
+        rank = (tier, abs(frac[j] - 0.5), j)
         if best_rank is None or rank < best_rank:
-            best_rank, best_col = rank, int(col)
-    return best_col
+            best_rank, best_j = rank, int(j)
+    return best_j
 
 
 def _without_incumbent(status: str, bound: float, node_count: int) -> Solution:
@@ -569,12 +548,13 @@ def _without_incumbent(status: str, bound: float, node_count: int) -> Solution:
 
 
 def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> Solution:
-    """Best-bound branch and bound with depth-first plunging.
+    """Best-bound branch and bound with one search tree per service block.
 
-    Stops when the relative gap between the incumbent and the best open
-    bound reaches config.rel_gap (the MIP-gap stopping contract), or on
-    node/time limits. Every incumbent passes the independent verifier
-    before being accepted.
+    The LP is separable by block (``_ServiceBlocks``), so each node is one
+    block's LP, and the model's bound is the sum of the blocks' bounds.
+    Stops when the relative gap between the incumbent and that sum reaches
+    config.rel_gap (the MIP-gap stopping contract), or on node/time limits.
+    Every incumbent passes the independent verifier before being accepted.
     """
     config = config or SolverConfig()
     inst = lp.source_instance
@@ -582,6 +562,9 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     deadline = t_start + config.time_limit if config.time_limit is not None else None
     root_lb, root_ub = lp.bounds_arrays()
     int_mask = np.asarray(lp.is_integer, dtype=bool)
+    blocks = _ServiceBlocks(lp)
+    if not blocks.rows_hold:
+        return _without_incumbent(STATUS_INFEASIBLE, math.inf, 0)
 
     best_x: np.ndarray | None = None
     best_obj = math.inf
@@ -618,29 +601,58 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             # search discover infeasibility or a solution on its own.
             pass
 
+    # Integral points of single blocks, kept until every block has one
+    # while there is no incumbent.
+    found: dict[int, np.ndarray] = {}
+
+    def part(b: int) -> float:
+        """Cost of block b's part of the incumbent; inf while it has none."""
+        cols, c = blocks.parts[b][:2]
+        if best_x is not None:
+            return float(c @ best_x[cols])
+        return float(c @ found[b]) if b in found else math.inf
+
+    def closed(value: float, b: int) -> bool:
+        """Whether an LP value of block b cannot improve its incumbent part."""
+        return value >= part(b) * (1.0 - 1e-12) - 1e-9
+
+    def with_block(cols: np.ndarray, xb: np.ndarray) -> np.ndarray:
+        """The incumbent (zeros without one) with ``cols`` set to ``xb``."""
+        x = best_x.copy() if best_x is not None else np.zeros(lp.n_cols)
+        x[cols] = xb
+        return x
+
     seq = itertools.count()
-    # Heap entries: (parent bound, tiebreak, patch dict col -> (lb, ub),
-    # parent LP x, branching column); the root has no parent. A child node
-    # re-solves only the block of its branching column (_ServiceBlocks).
-    heap: list[tuple] = [(-math.inf, next(seq), {}, None, None)]
-    dive: list[tuple] = []
-    blocks: _ServiceBlocks | None = None
+    # One heap per block of (bound, -seq, patch dict block position ->
+    # (lb, ub)). A root enters at the least its block's columns can cost,
+    # and no root enters for a block whose incumbent part costs that least.
+    heaps: list[list[tuple]] = []
+    for b, (cols, c, *_) in enumerate(blocks.parts):
+        nz = c != 0
+        least = float(np.minimum(c[nz] * root_lb[cols][nz], c[nz] * root_ub[cols][nz]).sum())
+        heaps.append([] if closed(least, b) else [(least, -next(seq), {})])
     node_count = 0
-    status = None
 
-    def open_bound() -> float:
-        return min([entry[0] for entry in heap + dive], default=best_obj)
-
-    def current_gap() -> float:
-        if best_obj == math.inf:
-            return math.inf
-        ob = open_bound()
-        if ob == -math.inf:
-            return math.inf
-        return (best_obj - ob) / max(abs(best_obj), 1e-9)
-
-    while heap or dive:
-        if best_obj < math.inf and current_gap() <= config.rel_gap:
+    while True:
+        if best_x is None and len(found) == len(heaps):
+            x = np.zeros(lp.n_cols)
+            for b, xb in found.items():
+                x[blocks.parts[b][0]] = xb
+            try_incumbent(x)
+        for b, heap in enumerate(heaps):
+            if heap and closed(heap[0][0], b):
+                heap.clear()
+        # A block's bound is its least open node, or its incumbent part once
+        # no node is open; inf marks a block with neither, which is infeasible.
+        bounds = [heap[0][0] if heap else part(b) for b, heap in enumerate(heaps)]
+        if math.inf in bounds:
+            return _without_incumbent(STATUS_INFEASIBLE, math.inf, node_count)
+        bound = sum(bounds)
+        open_blocks = [b for b, heap in enumerate(heaps) if heap]
+        if not open_blocks:
+            status = STATUS_OPTIMAL
+            break
+        if best_obj < math.inf and (best_obj - bound) / max(abs(best_obj), 1e-9) <= config.rel_gap:
             status = STATUS_GAP
             break
         if node_count >= config.node_limit:
@@ -650,70 +662,57 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             status = STATUS_TIME
             break
 
-        entry = dive.pop() if dive else heapq.heappop(heap)
-        parent_bound, _, patch, parent_x, branch_col = entry
-        lb = root_lb.copy()
-        ub = root_ub.copy()
-        for col, (lo, hi) in patch.items():
-            lb[col], ub[col] = lo, hi
-        remaining = None
-        if config.time_limit is not None:
-            remaining = max(config.time_limit - (time.monotonic() - t_start), 0.0)
-        if parent_x is None:
-            res = solve_lp(lp, bounds=(lb, ub), time_limit=remaining)
-        else:
-            if blocks is None:
-                blocks = _ServiceBlocks(lp)
-            res = blocks.resolve(parent_x, parent_bound, branch_col, lb, ub, remaining)
+        # Unsolved roots first (a root is the only entry without a patch),
+        # lowest block first; then the block whose incumbent part lies
+        # furthest above its bound.
+        roots = [b for b in open_blocks if not heaps[b][0][2]]
+        b = roots[0] if roots else max(open_blocks, key=lambda b: (part(b) - bounds[b], -b))
+        _, _, patch = entry = heapq.heappop(heaps[b])
+        cols, c, A_ub, b_ub, A_eq, b_eq = blocks.parts[b]
+        lb, ub = root_lb[cols], root_ub[cols]
+        for j, (lo, hi) in patch.items():
+            lb[j], ub[j] = lo, hi
+        remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
+        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, remaining)
         node_count += 1
         if res.status == LP_LIMIT:
-            # The node stays open, so its parent bound still counts.
-            heapq.heappush(heap, entry)
+            # The node stays open, so its bound still counts.
+            heapq.heappush(heaps[b], entry)
             status = STATUS_TIME
             break
         if res.status == LP_INFEASIBLE:
             continue
         if res.status == LP_UNBOUNDED:
             raise SolverError("LP relaxation unbounded; model bounds missing")
-        node_bound = res.objective
-        if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
+        if closed(res.objective, b):
             continue
         x = res.x
-        if node_count == 1 or node_count % 50 == 0:
-            guided_incumbent(x)
-            if node_bound >= best_obj * (1.0 - 1e-12) - 1e-9:
+        if node_count == 1:
+            guided_incumbent(with_block(cols, x))
+            if closed(res.objective, b):
                 continue
-        branch_col = _select_branch_var(lp, x)
-        if branch_col is None:
-            try_incumbent(x)
+        j = _select_branch_var(lp, cols, x)
+        if j is None:
+            if best_x is None:
+                found[b] = x
+            else:
+                try_incumbent(with_block(cols, x))
             continue
-        v = float(x[branch_col])
-        floor_patch = dict(patch)
-        lo0, hi0 = floor_patch.get(branch_col, (root_lb[branch_col], root_ub[branch_col]))
-        floor_patch[branch_col] = (lo0, float(math.floor(v)))
-        ceil_patch = dict(patch)
-        ceil_patch[branch_col] = (float(math.ceil(v)), hi0)
-        children = [
-            (node_bound, next(seq), floor_patch, x, branch_col),
-            (node_bound, next(seq), ceil_patch, x, branch_col),
-        ]
-        # Dive toward the side the LP value leans to; the sibling goes to
-        # the best-bound heap.
+        v = float(x[j])
+        children = [{**patch, j: (lb[j], float(math.floor(v)))},
+                    {**patch, j: (float(math.ceil(v)), ub[j])}]
+        # Of two equal bounds the entry pushed last pops first: the ceil
+        # child when v's fraction is below 0.5, else the floor child, so the
+        # search dives away from the integer nearest v.
         if v - math.floor(v) >= 0.5:
             children.reverse()
-        heapq.heappush(heap, children[0])
-        dive.append(children[1])
-
-    if status is None:
-        status = STATUS_OPTIMAL
+        for child in children:
+            heapq.heappush(heaps[b], (res.objective, -next(seq), child))
 
     if best_x is None:
-        # With no incumbent, nothing is pruned by bound: every closed node was infeasible.
-        if not heap and not dive:
-            return _without_incumbent(STATUS_INFEASIBLE, math.inf, node_count)
-        return _without_incumbent(status, open_bound(), node_count)
+        return _without_incumbent(status, bound, node_count)
 
-    final_bound = best_obj if status == STATUS_OPTIMAL else min(open_bound(), best_obj)
+    final_bound = best_obj if status == STATUS_OPTIMAL else min(bound, best_obj)
     gap = max(0.0, (best_obj - final_bound) / max(abs(best_obj), 1e-9))
     if gap <= 1e-12 and status == STATUS_GAP:
         status = STATUS_OPTIMAL

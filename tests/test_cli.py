@@ -142,9 +142,10 @@ class TestSolve:
             report = json.loads(open("s.json.verify.json").read(), parse_constant=reject)
             assert report["objective_claimed"] == "Infinity"
             assert doc["status"] == "TimeLimit"
-            assert (doc["objective"], doc["bound"], doc["gap"]) == ("Infinity", "-Infinity", "Infinity")
+            # No block LP ran: the bound is the least the columns can cost.
+            assert (doc["objective"], doc["bound"], doc["gap"]) == ("Infinity", 0.0, "Infinity")
             sol = solver.load_solution("s.json")
-            assert sol.objective == math.inf and sol.bound == -math.inf and sol.gap == math.inf
+            assert sol.objective == math.inf and sol.bound == 0.0 and sol.gap == math.inf
             assert sol.to_json() == open("s.json").read().rstrip("\n")
 
     def test_solution_verifies_via_cli(self, runner, tmp_path):
@@ -204,7 +205,10 @@ class TestMalformedInput:
             ).exit_code == 0
             yield json.load(open("sol.json"))
 
-    @pytest.mark.parametrize("field, value", [("objective", "abc"), ("values", [1, 2])])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("objective", "abc"), ("values", [1, 2]), ("values", {"U_y1_s1_i1": "a"})],
+    )
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_bad_solution_field(self, runner, solved, command, field, value):
         json.dump(dict(solved, **{field: value}), open("bad.json", "w"))
@@ -219,6 +223,17 @@ class TestMalformedInput:
         doc["horizon_T"] = "sixty"
         json.dump(doc, open("bad.json", "w"))
         result = runner.invoke(main, ["solve", "--instance", "bad.json", "--out", "s.json"])
+        assert result.exit_code == 3, result.output
+        assert "error:" in result.output
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_bad_instance_horizon_with_solution(self, runner, solved, command):
+        doc = json.load(open("inst.json"))
+        doc["horizon_T"] = "sixty"
+        json.dump(doc, open("bad.json", "w"))
+        result = runner.invoke(
+            main, [command, "--instance", "bad.json", "--solution", "sol.json"]
+        )
         assert result.exit_code == 3, result.output
         assert "error:" in result.output
 

@@ -1,3 +1,4 @@
+import json
 import math
 from types import SimpleNamespace
 
@@ -86,6 +87,8 @@ class TestSolveLp:
         res = solve_lp(LinearProgram())
         assert res.status == LP_OPTIMAL
         assert res.objective == 0.0
+        sol = branch_and_bound(LinearProgram(), SolverConfig(rel_gap=0.0))
+        assert (sol.status, sol.objective, sol.bound, sol.node_count) == (STATUS_OPTIMAL, 0.0, 0.0, 0)
 
     def test_infeasible_detected(self):
         lp = hand_lp()
@@ -136,8 +139,10 @@ class TestBranchAndBound:
             [org(1, cap=1), psi_org(2, [1])],
         )
         sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0))
+        # The heuristic's schedule costs 0, the least the only block can
+        # cost, so the block closes without an LP.
         assert sol.status == STATUS_OPTIMAL
-        assert sol.node_count == 1
+        assert sol.node_count == 0
 
     def test_incumbents_always_verify(self, micro_pool):
         for inst in micro_pool[:8]:
@@ -196,7 +201,8 @@ class TestBranchAndBound:
         assert sol.status == STATUS_TIME
         assert sol.node_count == 0
         assert sol.objective == math.inf
-        assert (sol.bound, sol.gap) == (-math.inf, math.inf)
+        # No block LP ran, so the bound is the least the columns can cost.
+        assert (sol.bound, sol.gap) == (0.0, math.inf)
 
     def test_heuristic_point_satisfies_model(self):
         # Each chosen stay sets its W column, so the incumbent is a point of
@@ -246,11 +252,40 @@ class TestBranchAndBound:
 
 
 class TestServiceBlocks:
-    def test_block_resolve_matches_monolithic_lp(self):
+    def test_zero_cost_blocks_get_no_lp(self, monkeypatch):
+        _, lp = desk_lp()
+        blocks = solver._ServiceBlocks(lp)
+        x = schedule_heuristic(lp)
+        costly = [float(c @ x[cols]) > 0 for cols, c, *_ in blocks.parts]
+        assert 0 < sum(costly) < len(costly)
+        # Each LP is told apart by its cost vector, which no two blocks share.
+        block_of_costs = {c.tobytes(): b for b, (_, c, *_) in enumerate(blocks.parts)}
+        assert len(block_of_costs) == len(blocks.parts)
+        solved = []
+        real = solver.linprog
+        monkeypatch.setattr(
+            solver, "linprog",
+            lambda c, **kw: solved.append(block_of_costs[c.tobytes()]) or real(c, **kw),
+        )
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, node_limit=30))
+        assert len(solved) == sol.node_count > 0
+        assert all(costly[b] for b in solved)
+
+    def test_violated_row_without_columns_is_infeasible(self):
+        lp = hand_lp()
+        lp.add_row("HOLDS", "3b", "<=", 0.0, [], [])
+        assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).objective == -1.0
+        lp = hand_lp()
+        lp.add_row("FAILS", "3b", ">=", 1.0, [], [])
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
+        assert (sol.status, sol.node_count) == (STATUS_INFEASIBLE, 0)
+        assert solve_lp(lp).status == LP_INFEASIBLE
+
+    def test_block_lps_sum_to_monolithic_lp(self):
         _, lp = desk_lp()
         root = solve_lp(lp)
         blocks = solver._ServiceBlocks(lp)
-        n_blocks = int(blocks.of_col.max()) + 1
+        n_blocks = len(blocks.parts)
         assert n_blocks == len({ref.i for ref in lp.col_refs})
         c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         lb0, ub0 = lp.bounds_arrays()
@@ -258,6 +293,16 @@ class TestServiceBlocks:
         def dearest(col):
             ref = lp.col_refs[col]
             return max(lp.obj[x] for x in lp.x_cols[(ref.y, ref.s, ref.i)].values())
+
+        def by_block(lb, ub):
+            """The LP solved block by block: summed value and joined x."""
+            value, x = 0.0, np.zeros(lp.n_cols)
+            for cols, *rest in blocks.parts:
+                res = solver._highs(*rest, lb[cols], ub[cols], None)
+                assert res.status == LP_OPTIMAL
+                value += res.objective
+                x[cols] = res.x
+            return value, x
 
         moved = 0
         for b in range(0, n_blocks, 4):
@@ -270,11 +315,10 @@ class TestServiceBlocks:
                 lb, ub = lb0.copy(), ub0.copy()
                 lb[col] = ub[col] = fixed
                 full = solve_lp(lp, bounds=(lb, ub))
-                part = blocks.resolve(root.x, root.objective, col, lb, ub, None)
-                assert part.status == full.status == LP_OPTIMAL
-                assert part.objective == pytest.approx(full.objective, rel=1e-9)
-                moved += part.objective > root.objective + 1e-6
-                x = part.x
+                value, x = by_block(lb, ub)
+                assert full.status == LP_OPTIMAL
+                assert value == pytest.approx(full.objective, rel=1e-9)
+                moved += value > root.objective + 1e-6
                 assert np.all(x >= lb - 1e-9) and np.all(x <= ub + 1e-9)
                 assert np.all(A_ub @ x <= b_ub + 1e-6)
                 assert np.allclose(A_eq @ x, b_eq, atol=1e-6)
@@ -298,12 +342,12 @@ class TestServiceBlocks:
         assert len(set(of_col[[a, b, c, d]])) == 1
         assert len(set(of_col[[e, f]])) == 1 and of_col[e] != of_col[a]
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
-        # Objective, bound and node count of the search that re-solved the
-        # whole LP at every node.
+        # Objective and bound of the search that re-solved the whole LP at
+        # every node; the node count is that of the search by block.
         assert sol.status == STATUS_OPTIMAL
         assert sol.objective == -10.0
         assert sol.bound == -10.0
-        assert sol.node_count == 11
+        assert sol.node_count == 8
 
     def test_gap_zero_search_matches_full_resolves(self):
         inst = generate_instance(GenerationConfig(n_youth=20, horizon_T=30, bed_scale=0.1, seed=14))
@@ -475,3 +519,18 @@ class TestSolutionSerialization:
         assert again.objective == sol.objective
         assert again.values == sol.values
         assert again.status == sol.status
+
+    def test_infinite_bound_written_as_string(self, tmp_path):
+        from shelterplan.solver import load_solution, save_solution
+
+        sol = solver._without_incumbent(STATUS_TIME, -math.inf, 0)
+        path = tmp_path / "sol.json"
+        save_solution(sol, str(path))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert (doc["objective"], doc["bound"], doc["gap"]) == ("Infinity", "-Infinity", "Infinity")
+        again = load_solution(str(path))
+        assert (again.objective, again.bound, again.gap) == (math.inf, -math.inf, math.inf)
