@@ -133,7 +133,6 @@ class LinearProgram:
         # X columns of each (s, i, t), the load that its E/O columns cover.
         self.x_by_triple: dict[tuple[int, int, int], list[int]] = {}
         self.need_orgs: dict[tuple[int, int], list[int]] = {}
-        self._scipy_cache = None
 
     # -- construction ------------------------------------------------------
 
@@ -206,14 +205,15 @@ class LinearProgram:
     def column_names(self) -> list[str]:
         return [ref.name for ref in self.col_refs]
 
-    # -- solver-facing matrices --------------------------------------------
+    # -- scipy matrices -----------------------------------------------------
 
     def to_scipy(self):
-        """Split rows by sense into (c, A_ub, b_ub, A_eq, b_eq) with >= negated."""
-        if self._scipy_cache is not None:
-            return self._scipy_cache
-        # Imported here, its only use, so that commands which never solve
-        # start without loading scipy.
+        """Split rows by sense into (c, A_ub, b_ub, A_eq, b_eq) with >= negated.
+
+        Built anew on every call, so rows added since count. The solver
+        cuts its own matrices from the nonzeros; scipy.sparse is imported
+        here so that no command loads it.
+        """
         import scipy.sparse as sp
 
         n, m = self.n_cols, self.n_rows
@@ -242,8 +242,7 @@ class LinearProgram:
         A_eq = A[eq] if eq.size else None
         b_eq = rhs[eq] if eq.size else None
         c = np.asarray(self.obj, dtype=float)
-        self._scipy_cache = (c, A_ub, b_ub, A_eq, b_eq)
-        return self._scipy_cache
+        return c, A_ub, b_ub, A_eq, b_eq
 
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lb, dtype=float), np.asarray(self.ub, dtype=float)

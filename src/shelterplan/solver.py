@@ -1,8 +1,11 @@
 """Exact MILP solution: LP-relaxation branch-and-bound, verifier, oracle.
 
-The LP relaxations are solved with scipy's HiGHS interface; the search,
-branching, incumbent handling and stopping rule live here. A schedule-aware
-greedy heuristic provides the first incumbent.
+The LP relaxations are solved by HiGHS through the compiled module that
+scipy ships (``scipy.optimize._highspy._core``). It is loaded from its file,
+so a solve imports neither scipy.optimize nor scipy.sparse, and ``linprog``
+hands it the matrices and options that ``scipy.optimize.linprog`` would.
+The search, branching, incumbent handling and stopping rule live here. A
+schedule-aware greedy heuristic provides the first incumbent.
 
 Every row of the model involves one service, so the model is separable by
 service block and the search keeps one tree per block: a node is one
@@ -26,12 +29,16 @@ search space factors by service.
 from __future__ import annotations
 
 import heapq
+import importlib.machinery
+import importlib.util
 import itertools
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +48,7 @@ from .domain import (
     demographic_compatible,
     service_offered,
 )
-from .model import LinearProgram, index_values
+from .model import SENSE_EQ, SENSE_GE, LinearProgram, index_values
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -160,46 +167,114 @@ def solve_lp(
     ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
     returns LP_LIMIT.
     """
-    if lp.n_cols == 0:
-        if _ServiceBlocks(lp).rows_hold:
-            return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
+    parts, rows_hold = _split(lp, np.zeros(lp.n_cols, dtype=np.int64), *_triplets(lp))
+    if not rows_hold:
         return LpResult(LP_INFEASIBLE, math.inf, None)
-
+    if not parts:
+        return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
-    return _highs(*lp.to_scipy(), lb, ub, time_limit)
+    _, c, matrix = parts[0]
+    return _highs(c, matrix, lb, ub, time_limit)
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first call.
+_HIGHS_CORE_NAME = "scipy.optimize._highspy._core"
+_highs_core_module = None
 
-    Only a solve loads scipy.optimize, so commands that never solve start
-    without it. ``_highs`` calls it through this module's global.
+
+def _highs_core():
+    """scipy's compiled HiGHS module, loaded from its file on the first call.
+
+    Loading the extension alone skips the import of scipy.optimize and
+    scipy.sparse. It is registered under its own name, so a later
+    ``import scipy.optimize`` reuses it.
     """
-    from scipy.optimize import linprog as scipy_linprog
+    global _highs_core_module
+    if _highs_core_module is None:
+        module = sys.modules.get(_HIGHS_CORE_NAME)
+        if module is None:
+            scipy_spec = importlib.util.find_spec("scipy")
+            paths = [os.path.join(os.path.dirname(scipy_spec.origin), "optimize", "_highspy",
+                                  "_core" + suffix)
+                     for suffix in importlib.machinery.EXTENSION_SUFFIXES] if scipy_spec else []
+            path = next(filter(os.path.isfile, paths), None)
+            if path is None:
+                raise SolverError("the LP solver needs scipy >= 1.15, which ships "
+                                  "the HiGHS extension scipy/optimize/_highspy/_core")
+            spec = importlib.util.spec_from_file_location(_HIGHS_CORE_NAME, path)
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE_NAME] = module
+            spec.loader.exec_module(module)
+        _highs_core_module = module
+    return _highs_core_module
 
-    return scipy_linprog(*args, **kwargs)
+
+class _LinprogResult(NamedTuple):
+    status: int
+    fun: float | None
+    x: np.ndarray | None
+    nit: int
+    message: str
 
 
-def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, time_limit) -> LpResult:
-    """One ``linprog`` call: HiGHS options, time limit and status mapping."""
-    options = {
-        "primal_feasibility_tolerance": LP_TOLERANCE,
-        "dual_feasibility_tolerance": LP_TOLERANCE,
-    }
+def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=None):
+    """min c x s.t. row_lower <= A x <= row_upper, lb <= x <= ub, by HiGHS.
+
+    A is given in CSC form (start, index, value). The options are those
+    that ``scipy.optimize.linprog(method="highs")`` sets, and ``status``
+    follows its codes: 0 optimal, 1 time or iteration limit, 2 infeasible,
+    3 unbounded, 4 any other outcome. ``fun`` and ``x`` are None unless
+    optimal; ``nit`` counts simplex iterations.
+
+    The name stays that of the scipy function it replaces: every LP of a
+    solve is one call to this module global, which the benchmark tracer
+    wraps by name to time LPs and count them against the nodes.
+    """
+    core = _highs_core()
+    model = core.HighsLp()
+    model.num_col_ = model.a_matrix_.num_col_ = c.size
+    model.num_row_ = model.a_matrix_.num_row_ = row_upper.size
+    model.a_matrix_.format_ = core.MatrixFormat.kColwise
+    model.a_matrix_.start_ = start
+    model.a_matrix_.index_ = index
+    model.a_matrix_.value_ = value
+    model.col_cost_ = c
+    model.col_lower_ = lb
+    model.col_upper_ = ub
+    model.row_lower_ = row_lower
+    model.row_upper_ = row_upper
+    options = core.HighsOptions()
+    options.presolve = "on"
+    options.simplex_strategy = int(core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)
+    options.primal_feasibility_tolerance = LP_TOLERANCE
+    options.dual_feasibility_tolerance = LP_TOLERANCE
+    options.output_flag = options.log_to_console = False
     if time_limit is not None:
-        options["time_limit"] = time_limit
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=np.column_stack([lb, ub]),
-        method="highs",
-        options=options,
+        options.time_limit = time_limit
+    highs = core._Highs()
+    highs.passOptions(options)
+    if highs.passModel(model) == core.HighsStatus.kError:
+        status = core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    info = highs.getInfo()
+    optimal = status == core.HighsModelStatus.kOptimal
+    codes = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+             "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
+    return _LinprogResult(
+        status=codes.get(status.name, 4),
+        fun=info.objective_function_value if optimal else None,
+        x=np.array(highs.getSolution().col_value) if optimal else None,
+        nit=info.simplex_iteration_count or info.ipm_iteration_count,
+        message=highs.modelStatusToString(status),
     )
+
+
+def _highs(c, matrix, lb, ub, time_limit) -> LpResult:
+    """One ``linprog`` call on a part's ``matrix``, with its status mapped."""
+    res = linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
     if res.status == 0:
-        return LpResult(LP_OPTIMAL, float(res.fun), np.asarray(res.x))
+        return LpResult(LP_OPTIMAL, float(res.fun), res.x)
     if res.status == 1 and time_limit is not None:
         return LpResult(LP_LIMIT, -math.inf, None)
     if res.status == 2:
@@ -209,6 +284,69 @@ def _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, time_limit) -> LpResult:
     raise SolverError(f"LP solve failed: status={res.status} message={res.message!r}")
 
 
+def _triplets(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and value of every nonzero of ``lp`` as arrays."""
+    return (np.asarray(lp._tri_row, dtype=np.int64), np.asarray(lp._tri_col, dtype=np.int64),
+            np.asarray(lp._tri_val, dtype=float))
+
+
+def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           vals: np.ndarray) -> tuple[list[tuple], bool]:
+    """The (cols, c, matrix) part of each block, and whether every row without columns holds.
+
+    ``of_col`` gives each column's block, and a row belongs to the block of
+    its columns; ``rows``, ``cols`` and ``vals`` are the nonzeros. ``matrix``
+    holds the keywords of ``linprog`` other than the bounds, laid out as
+    ``scipy.optimize.linprog`` hands them to HiGHS: the ``<=`` rows, the
+    negated ``>=`` rows, then the ``=`` rows, each in model order; within a
+    column, entries by row, duplicates summed.
+    """
+    m, n = lp.n_rows, lp.n_cols
+    sense = np.asarray(lp.row_sense)
+    rhs = np.asarray(lp.rhs, dtype=float)
+    ge, eq = sense == SENSE_GE, sense == SENSE_EQ
+    upper = np.where(ge, -rhs, rhs)
+    lower = np.where(eq, rhs, -np.inf)
+    row_block = np.full(m, -1)
+    row_block[rows] = of_col[cols]
+    free = row_block < 0
+    rows_hold = bool(np.all((lower[free] <= LP_TOLERANCE) & (upper[free] >= -LP_TOLERANCE)))
+
+    # Rows and columns in HiGHS order: by block, rows then by sense.
+    row_order = np.lexsort((ge + 2 * eq, row_block))
+    col_order = np.argsort(of_col, kind="stable")
+    row_rank = np.empty(m, dtype=np.int64)
+    row_rank[row_order] = np.arange(m)
+    col_rank = np.empty(n, dtype=np.int64)
+    col_rank[col_order] = np.arange(n)
+    key = col_rank[cols] * m + row_rank[rows]
+    nz = np.argsort(key, kind="stable")
+    key, vals = key[nz], np.where(ge[rows], -vals, vals)[nz]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    if first.size < key.size:
+        key, vals = key[first], np.add.reduceat(vals, first)
+    col_nz, row_nz = np.divmod(key, m)
+    start = np.searchsorted(col_nz, np.arange(n + 1))
+
+    obj = np.asarray(lp.obj, dtype=float)
+    n_blocks = int(of_col.max(initial=-1)) + 1
+    col_cut = np.searchsorted(of_col[col_order], np.arange(n_blocks + 1))
+    row_cut = np.searchsorted(row_block[row_order], np.arange(n_blocks + 1))
+    parts = []
+    for b in range(n_blocks):
+        (c0, c1), (r0, r1) = col_cut[b:b + 2], row_cut[b:b + 2]
+        block_cols, block_rows = col_order[c0:c1], row_order[r0:r1]
+        matrix = {
+            "start": (start[c0:c1 + 1] - start[c0]).astype(np.int32),
+            "index": (row_nz[start[c0]:start[c1]] - r0).astype(np.int32),
+            "value": vals[start[c0]:start[c1]],
+            "row_lower": lower[block_rows],
+            "row_upper": upper[block_rows],
+        }
+        parts.append((block_cols, obj[block_cols], matrix))
+    return parts, rows_hold
+
+
 class _ServiceBlocks:
     """The columns and rows of an LP grouped into blocks that share no row.
 
@@ -216,13 +354,12 @@ class _ServiceBlocks:
     columns meet in a row fall into one block, and each row belongs to the
     block of its columns. A generated model has no row that spans two
     services, so every service is its own block; a model with a linking
-    row gets fewer, larger blocks. Every block's slice of the LP is cut
-    here. A row without columns belongs to no block; ``rows_hold`` says
-    whether all such rows hold.
+    row gets fewer, larger blocks, numbered by their lowest service. Every
+    block's part of the LP is cut here (``_split``). A row without columns
+    belongs to no block; ``rows_hold`` says whether all such rows hold.
     """
 
     def __init__(self, lp: LinearProgram):
-        c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         _, service = np.unique([ref.i for ref in lp.col_refs], return_inverse=True)
         root = list(range(service.max(initial=-1) + 1))
 
@@ -232,37 +369,20 @@ class _ServiceBlocks:
                 a = root[a]
             return a
 
-        # Column of each row's first nonzero, -1 for a row without columns.
-        firsts = []
-        for A in (A_ub, A_eq):
-            first = np.full(0 if A is None else A.shape[0], -1)
-            if A is not None:
-                counts = np.diff(A.indptr)
-                first[counts > 0] = A.indices[A.indptr[:-1][counts > 0]]
-                # Join the service of every nonzero to that of its row's first.
-                row_svc = service[np.repeat(first, counts)]
-                nz_svc = service[A.indices]
-                linked = row_svc != nz_svc
-                for a, b in set(zip(row_svc[linked].tolist(), nz_svc[linked].tolist())):
-                    root[find(a)] = find(b)
-            firsts.append(first)
+        # Join the service of every nonzero to that of its row's first; a
+        # block's root is its lowest service.
+        rows, cols, vals = _triplets(lp)
+        nz_svc = service[cols]
+        first_svc = np.zeros(lp.n_rows, dtype=np.int64)
+        first_svc[rows[::-1]] = nz_svc[::-1]
+        row_svc = first_svc[rows]
+        linked = row_svc != nz_svc
+        for a, b in set(zip(row_svc[linked].tolist(), nz_svc[linked].tolist())):
+            a, b = sorted((find(a), find(b)))
+            root[b] = a
         _, block_of_service = np.unique([find(a) for a in range(len(root))], return_inverse=True)
         self.of_col = block_of_service[service]
-        # Block of each row, -1 (the appended entry) for a row without columns.
-        row_blocks = [np.append(self.of_col, -1)[first] for first in firsts]
-        ub_free, eq_free = (rhs[row_block < 0] if rhs is not None else np.zeros(0)
-                            for rhs, row_block in zip((b_ub, b_eq), row_blocks))
-        self.rows_hold = bool(np.all(ub_free >= -LP_TOLERANCE)
-                              and np.all(np.abs(eq_free) <= LP_TOLERANCE))
-        # (cols, c, A_ub, b_ub, A_eq, b_eq) of each block.
-        self.parts = []
-        for blk in range(self.of_col.max(initial=-1) + 1):
-            cols = np.flatnonzero(self.of_col == blk)
-            part = [cols, c[cols]]
-            for A, rhs, row_block in ((A_ub, b_ub, row_blocks[0]), (A_eq, b_eq, row_blocks[1])):
-                rows = np.flatnonzero(row_block == blk)
-                part += [A[rows][:, cols], rhs[rows]] if rows.size else [None, None]
-            self.parts.append(part)
+        self.parts, self.rows_hold = _split(lp, self.of_col, rows, cols, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -668,12 +788,12 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         roots = [b for b in open_blocks if not heaps[b][0][2]]
         b = roots[0] if roots else max(open_blocks, key=lambda b: (part(b) - bounds[b], -b))
         _, _, patch = entry = heapq.heappop(heaps[b])
-        cols, c, A_ub, b_ub, A_eq, b_eq = blocks.parts[b]
+        cols, c, matrix = blocks.parts[b]
         lb, ub = root_lb[cols], root_ub[cols]
         for j, (lo, hi) in patch.items():
             lb[j], ub[j] = lo, hi
         remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        res = _highs(c, A_ub, b_ub, A_eq, b_eq, lb, ub, remaining)
+        res = _highs(c, matrix, lb, ub, remaining)
         node_count += 1
         if res.status == LP_LIMIT:
             # The node stays open, so its bound still counts.

@@ -46,6 +46,52 @@ class TestStartup:
         )
         assert out.stdout.strip() == "[]"
 
+    def solve_in_fresh_interpreter(self, runner, tmp_path, then=""):
+        # pytest itself has loaded scipy.optimize by now, so only a fresh
+        # interpreter shows what a solve loads on its own.
+        code = (
+            "import sys\n"
+            "from shelterplan.cli import main\n"
+            "try:\n"
+            "    main(['solve', '--instance', 'inst.json', '--gap', '0', '--out', 'sol.json'])\n"
+            "except SystemExit as stop:\n"
+            "    assert stop.code in (0, None), stop.code\n"
+            "print([m for m in ('scipy.sparse', 'scipy.optimize', 'scipy.optimize._highspy._core')\n"
+            "       if m in sys.modules])\n" + then
+        )
+        src = os.path.dirname(os.path.dirname(shelterplan.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert out.returncode == 0, out.stderr
+            assert json.load(open("sol.json"))["status"] == "Optimal"
+        return out.stdout.splitlines()
+
+    def test_solve_loads_only_the_highs_extension(self, runner, tmp_path):
+        loaded = self.solve_in_fresh_interpreter(runner, tmp_path)[-1]
+        assert loaded == "['scipy.optimize._highspy._core']"
+
+    def test_scipy_optimize_runs_after_solve(self, runner, tmp_path):
+        # The HiGHS module a solve loaded from its file is the one that
+        # scipy.optimize imports later, and linprog and milp still work.
+        then = (
+            "import numpy as np\n"
+            "from scipy.optimize import Bounds, LinearConstraint, linprog, milp\n"
+            "from scipy.optimize._highspy import _highs_wrapper\n"
+            "from shelterplan import solver\n"
+            "print(_highs_wrapper._h is solver._highs_core())\n"
+            "lp = linprog([-1, -1], A_ub=[[1, 2]], b_ub=[3], bounds=[(0, 2)] * 2)\n"
+            "mip = milp([-1, -1], integrality=[1, 1], bounds=Bounds(0, 2),\n"
+            "           constraints=LinearConstraint([[1, 2]], -np.inf, 3))\n"
+            "print(lp.status, lp.fun, mip.status, mip.fun)\n"
+        )
+        _, same, results = self.solve_in_fresh_interpreter(runner, tmp_path, then)[-3:]
+        assert same == "True"
+        assert results == "0 -2.5 0 -2.0"
+
 
 class TestGenerate:
     def test_writes_instance_and_manifest(self, runner, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +67,79 @@ def stop_clock_after_heuristic(monkeypatch, readings):
 def desk_lp():
     inst = generate_instance(GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=7))
     return inst, build(inst)
+
+
+def scipy_linprog(lp, cols, time_limit=None):
+    """``scipy.optimize.linprog`` on the columns ``cols`` of ``lp`` and the rows they meet."""
+    from scipy.optimize import linprog
+
+    c, *matrices = lp.to_scipy()
+    lb, ub = lp.bounds_arrays()
+    cut = []
+    for A, b in zip(matrices[::2], matrices[1::2]):
+        rows = np.flatnonzero(A[:, cols].getnnz(axis=1)) if A is not None else []
+        cut += [A[rows][:, cols], b[rows]] if len(rows) else [None, None]
+    options = {"primal_feasibility_tolerance": solver.LP_TOLERANCE,
+               "dual_feasibility_tolerance": solver.LP_TOLERANCE, "time_limit": time_limit}
+    return linprog(c[cols], *cut, bounds=np.column_stack([lb[cols], ub[cols]]),
+                   method="highs", options={k: v for k, v in options.items() if v is not None})
+
+
+def unbounded_lp():
+    """min -x0 subject to x1 - x0 <= 1, x0 >= 0 without upper bound, x1 in [0, 1]."""
+    lp = LinearProgram()
+    lp.add_col("X", y=1, s=1, i=1, t=1, obj=-1.0, lb=0.0, ub=math.inf, integer=False)
+    lp.add_col("X", y=1, s=1, i=1, t=2, obj=0.0, lb=0.0, ub=1.0, integer=False)
+    lp.add_row("R", "2a", "<=", 1.0, [0, 1], [-1.0, 1.0])
+    return lp
+
+
+def infeasible_lp():
+    lp = hand_lp()
+    lp.add_row("MIN", "3b", ">=", 2.0, [0, 1, 2], [1.0, 1.0, 1.0])
+    return lp
+
+
+class TestHighsCall:
+    """``solver.linprog`` hands HiGHS what ``scipy.optimize.linprog`` does."""
+
+    def test_block_lps_match_scipy_exactly(self):
+        _, lp = desk_lp()
+        hand = hand_lp()
+        cases = [(lp, part) for part in solver._ServiceBlocks(lp).parts]
+        cases += [(hand, part) for part in solver._ServiceBlocks(hand).parts]
+        iterations = 0
+        for model, (cols, c, matrix) in cases:
+            lb, ub = model.bounds_arrays()
+            ours = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols])
+            ref = scipy_linprog(model, cols)
+            assert ours.status == ref.status == 0
+            assert (ours.fun, ours.nit) == (ref.fun, ref.nit)
+            assert np.array_equal(ours.x, ref.x)
+            iterations += ours.nit
+        assert iterations > 0
+
+    @pytest.mark.parametrize("make, time_limit, status, code", [
+        (infeasible_lp, None, LP_INFEASIBLE, 2),
+        (lambda: desk_lp()[1], 0.0, LP_LIMIT, 1),
+        (unbounded_lp, None, solver.LP_UNBOUNDED, 3),
+    ])
+    def test_status_mapping(self, make, time_limit, status, code):
+        lp = make()
+        assert solve_lp(lp, time_limit=time_limit).status == status
+        parts, _ = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *solver._triplets(lp))
+        (cols, c, matrix), = parts
+        lb, ub = lp.bounds_arrays()
+        ours = solver.linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
+        assert ours.status == scipy_linprog(lp, cols, time_limit).status == code
+        assert ours.x is None and ours.fun is None
+
+    def test_missing_extension_names_the_scipy_requirement(self, monkeypatch):
+        monkeypatch.setattr(solver, "_highs_core_module", None)
+        monkeypatch.delitem(sys.modules, solver._HIGHS_CORE_NAME, raising=False)
+        monkeypatch.setattr(solver.importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+        with pytest.raises(solver.SolverError, match=r"scipy >= 1\.15"):
+            solver._highs_core()
 
 
 class TestSolveLp:
@@ -281,6 +355,16 @@ class TestServiceBlocks:
         assert (sol.status, sol.node_count) == (STATUS_INFEASIBLE, 0)
         assert solve_lp(lp).status == LP_INFEASIBLE
 
+    def test_rows_added_after_a_solve_count(self):
+        lp = hand_lp()
+        assert lp.to_scipy()[1].shape[0] == 1
+        lp.add_row("DEMAND", "3b", ">=", 0.5, [0], [1.0])
+        assert lp.to_scipy()[1].shape[0] == 2
+        lp = hand_lp()
+        assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).objective == -1.0
+        lp.add_row("FAILS", "3b", ">=", 1.0, [], [])
+        assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).status == STATUS_INFEASIBLE
+
     def test_block_lps_sum_to_monolithic_lp(self):
         _, lp = desk_lp()
         root = solve_lp(lp)
@@ -297,8 +381,8 @@ class TestServiceBlocks:
         def by_block(lb, ub):
             """The LP solved block by block: summed value and joined x."""
             value, x = 0.0, np.zeros(lp.n_cols)
-            for cols, *rest in blocks.parts:
-                res = solver._highs(*rest, lb[cols], ub[cols], None)
+            for cols, c_part, matrix in blocks.parts:
+                res = solver._highs(c_part, matrix, lb[cols], ub[cols], None)
                 assert res.status == LP_OPTIMAL
                 value += res.objective
                 x[cols] = res.x
