@@ -351,18 +351,8 @@ class ProblemInstance:
                         f"youth {youth.id}: need window ends beyond the horizon"
                     )
 
-    @property
-    def incompatibility_org(self) -> OrganizationProfile:
-        for org in self.organizations:
-            if org.kind == INCOMPATIBILITY:
-                return org
-        raise DomainError("no incompatibility organization present")
-
     def housing_orgs(self) -> tuple[OrganizationProfile, ...]:
         return tuple(o for o in self.organizations if o.kind == HOUSING)
-
-    def referral_orgs(self) -> tuple[OrganizationProfile, ...]:
-        return tuple(o for o in self.organizations if o.kind == REFERRAL)
 
     def org_by_id(self, org_id: int) -> OrganizationProfile:
         for org in self.organizations:

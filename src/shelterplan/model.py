@@ -560,41 +560,39 @@ def write_mps(lp: LinearProgram, path: str) -> None:
     texts, text_of = _distinct_texts(vals[order])
     padded = [_field(text, 15) for text in texts]
 
-    lines = []
-    lines.append("NAME" + " " * 10 + "SHELTERPLAN")
-    lines.append("ROWS")
-    lines.append(" N  COST")
-    for name, sense in zip(lp.row_names, lp.row_sense):
-        tag = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}[sense]
-        lines.append(f" {tag}  {name}")
-    lines.append("COLUMNS")
-    lines.append("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTORG'")
-    for col in range(n):
-        prefix = "    " + col_fields[col]
-        lo, hi = starts[col], starts[col + 1]
-        for j in range(lo, hi - 1, 2):
-            lines.append(
-                prefix + row_fields[row_of[j]] + padded[text_of[j]]
-                + row_fields[row_of[j + 1]] + texts[text_of[j + 1]]
-            )
-        if (hi - lo) % 2:
-            lines.append(prefix + row_fields[row_of[hi - 1]] + texts[text_of[hi - 1]])
-    lines.append("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTEND'")
-    lines.append("RHS")
-    for name, rhs in zip(row_fields, lp.rhs):
-        if rhs != 0.0:
-            lines.append("    " + _field("RHS", 10) + name + _fmt(rhs))
-    lines.append("BOUNDS")
-    bnd = _field("BND", 10)
-    ub_texts, ub_text_of = _distinct_texts(np.asarray(lp.ub, dtype=float))
-    for col in range(n):
-        if lp.lb[col] != 0.0:
-            lines.append(" LO " + bnd + col_fields[col] + _fmt(lp.lb[col]))
-        lines.append(" UI " + bnd + col_fields[col] + ub_texts[ub_text_of[col]])
-    lines.append("ENDATA")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        out = fh.write
+        out("NAME" + " " * 10 + "SHELTERPLAN\n")
+        out("ROWS\n")
+        out(" N  COST\n")
+        for name, sense in zip(lp.row_names, lp.row_sense):
+            tag = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}[sense]
+            out(f" {tag}  {name}\n")
+        out("COLUMNS\n")
+        out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTORG'\n")
+        for col in range(n):
+            prefix = "    " + col_fields[col]
+            lo, hi = starts[col], starts[col + 1]
+            for j in range(lo, hi - 1, 2):
+                out(
+                    prefix + row_fields[row_of[j]] + padded[text_of[j]]
+                    + row_fields[row_of[j + 1]] + texts[text_of[j + 1]] + "\n"
+                )
+            if (hi - lo) % 2:
+                out(prefix + row_fields[row_of[hi - 1]] + texts[text_of[hi - 1]] + "\n")
+        out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTEND'\n")
+        out("RHS\n")
+        for name, rhs in zip(row_fields, lp.rhs):
+            if rhs != 0.0:
+                out("    " + _field("RHS", 10) + name + _fmt(rhs) + "\n")
+        out("BOUNDS\n")
+        bnd = _field("BND", 10)
+        ub_texts, ub_text_of = _distinct_texts(np.asarray(lp.ub, dtype=float))
+        for col in range(n):
+            if lp.lb[col] != 0.0:
+                out(" LO " + bnd + col_fields[col] + _fmt(lp.lb[col]) + "\n")
+            out(" UI " + bnd + col_fields[col] + ub_texts[ub_text_of[col]] + "\n")
+        out("ENDATA\n")
 
 
 def write_triplets(lp: LinearProgram, path: str) -> None:

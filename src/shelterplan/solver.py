@@ -38,7 +38,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,6 +96,7 @@ class LpResult:
     status: str
     objective: float
     x: np.ndarray | None
+    nit: int = 0
 
 
 @dataclass
@@ -174,7 +175,7 @@ def solve_lp(
         return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
     _, c, matrix = parts[0]
-    return _highs(c, matrix, lb, ub, time_limit)
+    return linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
 
 
 _HIGHS_CORE_NAME = "scipy.optimize._highspy._core"
@@ -208,22 +209,15 @@ def _highs_core():
     return _highs_core_module
 
 
-class _LinprogResult(NamedTuple):
-    status: int
-    fun: float | None
-    x: np.ndarray | None
-    nit: int
-    message: str
-
-
-def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=None):
+def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=None) -> LpResult:
     """min c x s.t. row_lower <= A x <= row_upper, lb <= x <= ub, by HiGHS.
 
-    A is given in CSC form (start, index, value). The options are those
-    that ``scipy.optimize.linprog(method="highs")`` sets, and ``status``
-    follows its codes: 0 optimal, 1 time or iteration limit, 2 infeasible,
-    3 unbounded, 4 any other outcome. ``fun`` and ``x`` are None unless
-    optimal; ``nit`` counts simplex iterations.
+    A is given in CSC form (start, index, value), and the options are those
+    that ``scipy.optimize.linprog(method="highs")`` sets. HiGHS's model
+    status maps to LP_OPTIMAL, LP_INFEASIBLE (also for a model it rejects),
+    LP_UNBOUNDED, or LP_LIMIT for a time or iteration limit when
+    ``time_limit`` was given; any other outcome raises SolverError. ``x``
+    is None unless optimal; ``nit`` counts simplex iterations.
 
     The name stays that of the scipy function it replaces: every LP of a
     solve is one call to this module global, which the benchmark tracer
@@ -252,36 +246,24 @@ def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=
         options.time_limit = time_limit
     highs = core._Highs()
     highs.passOptions(options)
+    model_status = core.HighsModelStatus
     if highs.passModel(model) == core.HighsStatus.kError:
-        status = core.HighsModelStatus.kModelError
+        status = model_status.kModelError
     else:
         highs.run()
         status = highs.getModelStatus()
     info = highs.getInfo()
-    optimal = status == core.HighsModelStatus.kOptimal
-    codes = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-             "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
-    return _LinprogResult(
-        status=codes.get(status.name, 4),
-        fun=info.objective_function_value if optimal else None,
-        x=np.array(highs.getSolution().col_value) if optimal else None,
-        nit=info.simplex_iteration_count or info.ipm_iteration_count,
-        message=highs.modelStatusToString(status),
-    )
-
-
-def _highs(c, matrix, lb, ub, time_limit) -> LpResult:
-    """One ``linprog`` call on a part's ``matrix``, with its status mapped."""
-    res = linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
-    if res.status == 0:
-        return LpResult(LP_OPTIMAL, float(res.fun), res.x)
-    if res.status == 1 and time_limit is not None:
-        return LpResult(LP_LIMIT, -math.inf, None)
-    if res.status == 2:
-        return LpResult(LP_INFEASIBLE, math.inf, None)
-    if res.status == 3:
-        return LpResult(LP_UNBOUNDED, -math.inf, None)
-    raise SolverError(f"LP solve failed: status={res.status} message={res.message!r}")
+    nit = info.simplex_iteration_count or info.ipm_iteration_count
+    if status == model_status.kOptimal:
+        x = np.array(highs.getSolution().col_value)
+        return LpResult(LP_OPTIMAL, info.objective_function_value, x, nit)
+    if status in (model_status.kInfeasible, model_status.kModelError):
+        return LpResult(LP_INFEASIBLE, math.inf, None, nit)
+    if status == model_status.kUnbounded:
+        return LpResult(LP_UNBOUNDED, -math.inf, None, nit)
+    if status in (model_status.kTimeLimit, model_status.kIterationLimit) and time_limit is not None:
+        return LpResult(LP_LIMIT, -math.inf, None, nit)
+    raise SolverError(f"LP solve failed: {highs.modelStatusToString(status)}")
 
 
 def _triplets(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -350,38 +332,22 @@ def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.nda
 class _ServiceBlocks:
     """The columns and rows of an LP grouped into blocks that share no row.
 
-    Columns are labelled by service (``VariableRef.i``); services whose
-    columns meet in a row fall into one block, and each row belongs to the
-    block of its columns. A generated model has no row that spans two
-    services, so every service is its own block; a model with a linking
-    row gets fewer, larger blocks, numbered by their lowest service. Every
-    block's part of the LP is cut here (``_split``). A row without columns
-    belongs to no block; ``rows_hold`` says whether all such rows hold.
+    A block is one service (``VariableRef.i``), numbered in service order,
+    and each row belongs to the block of its columns. A generated model has
+    no row that spans two services; an LP with such a row (only hand-built
+    ones have it) is one block, which keeps the split exact. Every block's
+    part of the LP is cut here (``_split``). A row without columns belongs
+    to no block; ``rows_hold`` says whether all such rows hold.
     """
 
     def __init__(self, lp: LinearProgram):
         _, service = np.unique([ref.i for ref in lp.col_refs], return_inverse=True)
-        root = list(range(service.max(initial=-1) + 1))
-
-        def find(a: int) -> int:
-            while root[a] != a:
-                root[a] = root[root[a]]
-                a = root[a]
-            return a
-
-        # Join the service of every nonzero to that of its row's first; a
-        # block's root is its lowest service.
         rows, cols, vals = _triplets(lp)
-        nz_svc = service[cols]
-        first_svc = np.zeros(lp.n_rows, dtype=np.int64)
-        first_svc[rows[::-1]] = nz_svc[::-1]
-        row_svc = first_svc[rows]
-        linked = row_svc != nz_svc
-        for a, b in set(zip(row_svc[linked].tolist(), nz_svc[linked].tolist())):
-            a, b = sorted((find(a), find(b)))
-            root[b] = a
-        _, block_of_service = np.unique([find(a) for a in range(len(root))], return_inverse=True)
-        self.of_col = block_of_service[service]
+        row_svc = np.zeros(lp.n_rows, dtype=np.int64)
+        row_svc[rows] = service[cols]
+        if not np.array_equal(row_svc[rows], service[cols]):
+            service[:] = 0
+        self.of_col = service
         self.parts, self.rows_hold = _split(lp, self.of_col, rows, cols, vals)
 
 
@@ -793,7 +759,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         for j, (lo, hi) in patch.items():
             lb[j], ub[j] = lo, hi
         remaining = None if deadline is None else max(deadline - time.monotonic(), 0.0)
-        res = _highs(c, matrix, lb, ub, remaining)
+        res = linprog(c, **matrix, lb=lb, ub=ub, time_limit=remaining)
         node_count += 1
         if res.status == LP_LIMIT:
             # The node stays open, so its bound still counts.
@@ -1125,14 +1091,7 @@ def brute_force(
                 for days in schedules:
                     options.append((org.id, days, r * len(days)))
             if not options:
-                return Solution(
-                    values={},
-                    objective=math.inf,
-                    bound=math.inf,
-                    gap=math.inf,
-                    status=STATUS_INFEASIBLE,
-                    decomposition={"assignment": 0.0, "expansion": 0.0, "overflow": 0.0},
-                )
+                return _without_incumbent(STATUS_INFEASIBLE, math.inf, 0)
             options_per_need.append(options)
             space *= len(options)
             if space > limit:

@@ -113,8 +113,8 @@ class TestHighsCall:
             lb, ub = model.bounds_arrays()
             ours = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols])
             ref = scipy_linprog(model, cols)
-            assert ours.status == ref.status == 0
-            assert (ours.fun, ours.nit) == (ref.fun, ref.nit)
+            assert (ours.status, ref.status) == (LP_OPTIMAL, 0)
+            assert (ours.objective, ours.nit) == (ref.fun, ref.nit)
             assert np.array_equal(ours.x, ref.x)
             iterations += ours.nit
         assert iterations > 0
@@ -130,9 +130,11 @@ class TestHighsCall:
         parts, _ = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *solver._triplets(lp))
         (cols, c, matrix), = parts
         lb, ub = lp.bounds_arrays()
+        # Each row pairs our status with scipy's code for the same outcome.
         ours = solver.linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
-        assert ours.status == scipy_linprog(lp, cols, time_limit).status == code
-        assert ours.x is None and ours.fun is None
+        assert ours.status == status
+        assert scipy_linprog(lp, cols, time_limit).status == code
+        assert ours.x is None
 
     def test_missing_extension_names_the_scipy_requirement(self, monkeypatch):
         monkeypatch.setattr(solver, "_highs_core_module", None)
@@ -382,7 +384,7 @@ class TestServiceBlocks:
             """The LP solved block by block: summed value and joined x."""
             value, x = 0.0, np.zeros(lp.n_cols)
             for cols, c_part, matrix in blocks.parts:
-                res = solver._highs(c_part, matrix, lb[cols], ub[cols], None)
+                res = solver.linprog(c_part, **matrix, lb=lb[cols], ub=ub[cols])
                 assert res.status == LP_OPTIMAL
                 value += res.objective
                 x[cols] = res.x
@@ -422,16 +424,51 @@ class TestServiceBlocks:
         lp.add_row("K3", "2a", "<=", 4.0, [e, f], [2.0, 3.0])
         # Without this row the optimum is -11 (a, d, f).
         lp.add_row("LINK", "2a", "<=", 1.0, [a, c, d], [1.0, 1.0, 1.0])
-        of_col = solver._ServiceBlocks(lp).of_col
-        assert len(set(of_col[[a, b, c, d]])) == 1
-        assert len(set(of_col[[e, f]])) == 1 and of_col[e] != of_col[a]
+        # A row that spans two services makes the whole LP one block.
+        assert solver._ServiceBlocks(lp).of_col.tolist() == [0] * 6
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
-        # Objective and bound of the search that re-solved the whole LP at
-        # every node; the node count is that of the search by block.
+        # Status, objective, bound and node count of the search that
+        # re-solved the whole LP at every node.
         assert sol.status == STATUS_OPTIMAL
         assert sol.objective == -10.0
         assert sol.bound == -10.0
-        assert sol.node_count == 8
+        assert sol.node_count == 11
+
+    def test_cut_short_search_brackets_block_optima(self):
+        # scipy's HiGHS MIP solves each costly service's columns, with the
+        # rows they meet, of TREE_POOL instance 3120 to optimality; a service
+        # whose heuristic schedule costs 0 has optimum 0.
+        from scipy.optimize import Bounds, LinearConstraint, milp
+
+        inst = generate_instance(GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3120))
+        lp = build(inst)
+        c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
+        lb, ub = lp.bounds_arrays()
+        integer = np.asarray(lp.is_integer, dtype=int)
+        x = schedule_heuristic(lp)
+        service = np.array([ref.i for ref in lp.col_refs])
+        optima = []
+        for i in np.unique(service):
+            cols = np.flatnonzero(service == i)
+            if c[cols] @ x[cols] <= 0:
+                continue
+            ub_rows = np.flatnonzero(A_ub[:, cols].getnnz(axis=1))
+            eq_rows = np.flatnonzero(A_eq[:, cols].getnnz(axis=1))
+            res = milp(c[cols], integrality=integer[cols], bounds=Bounds(lb[cols], ub[cols]),
+                       constraints=[
+                           LinearConstraint(A_ub[ub_rows][:, cols], -np.inf, b_ub[ub_rows]),
+                           LinearConstraint(A_eq[eq_rows][:, cols], b_eq[eq_rows], b_eq[eq_rows]),
+                       ])
+            assert res.status == 0
+            optima.append(res.fun)
+        assert len(optima) == 4
+        optimum = sum(optima)
+        assert optimum == pytest.approx(9616.0, abs=1e-6)
+        # Stopped at 60 nodes, the search's bound and incumbent must still
+        # bracket the optimum (9616 <= 9616 <= 9627 when this was written).
+        sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0, node_limit=60))
+        assert sol.bound <= optimum + 1e-6
+        assert optimum <= sol.objective + 1e-6
 
     def test_gap_zero_search_matches_full_resolves(self):
         inst = generate_instance(GenerationConfig(n_youth=20, horizon_T=30, bed_scale=0.1, seed=14))
