@@ -597,23 +597,16 @@ def write_mps(lp: LinearProgram, path: str) -> None:
 
 def write_triplets(lp: LinearProgram, path: str) -> None:
     """Write the documented sparse-triplet text format (one entry per line)."""
-    lines = []
-    lines.append("SHELTERPLAN-SPARSE 1")
-    lines.append("MINIMIZE")
-    lines.append(f"NVARS {lp.n_cols}")
-    lines.append(f"NROWS {lp.n_rows}")
-    for col, ref in enumerate(lp.col_refs):
-        lines.append(
-            f"VAR {ref.name} {_fmt(lp.lb[col])} {_fmt(lp.ub[col])} "
-            f"{1 if lp.is_integer[col] else 0} {_fmt(lp.obj[col])}"
-        )
-    for r in range(lp.n_rows):
-        lines.append(
-            f"ROW {lp.row_names[r]} {lp.row_family[r]} {lp.row_sense[r]} {_fmt(lp.rhs[r])}"
-        )
-    for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
-        lines.append(f"NZ {r} {c} {_fmt(v)}")
-    lines.append("END")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        out = fh.write
+        out(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {lp.n_cols}\nNROWS {lp.n_rows}\n")
+        for col, ref in enumerate(lp.col_refs):
+            out(
+                f"VAR {ref.name} {_fmt(lp.lb[col])} {_fmt(lp.ub[col])} "
+                f"{1 if lp.is_integer[col] else 0} {_fmt(lp.obj[col])}\n"
+            )
+        for r in range(lp.n_rows):
+            out(f"ROW {lp.row_names[r]} {lp.row_family[r]} {lp.row_sense[r]} {_fmt(lp.rhs[r])}\n")
+        for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
+            out(f"NZ {r} {c} {_fmt(v)}\n")
+        out("END\n")

@@ -15,8 +15,9 @@ integral point of one block replaces that block's part of the incumbent.
 One rule prices a day's load at an organization, ``cheapest_split``: the
 load above existing capacity goes to extra in-house units (cost gamma, at
 most mu - c of them) when those are no dearer than overflow (cost lambda),
-and the rest to the overflow shelter. Incumbent repair, the heuristic's
-marginal cost and the brute-force oracle all use it.
+and the rest to the overflow shelter. The brute-force oracle calls it;
+incumbent repair and the heuristic's per-day cost rows apply the same rule
+in bulk (``_split_table`` holds the data both read).
 
 The verifier re-checks every constraint family directly against the problem
 instance (never against the matrix), so model-construction bugs cannot
@@ -371,15 +372,50 @@ def cheapest_split(org: OrganizationProfile, i: int, t: int, load: int) -> tuple
     return 0, over
 
 
+def _split_table(org: OrganizationProfile, i: int, horizon: int) -> tuple[list[int], float]:
+    """``cheapest_split``'s data for service i at ``org``: capacity by day, and a top.
+
+    The capacity list is indexed by day (index 0 is unused). Extra units
+    cover the load above capacity while the load stays below the top: mu
+    when gamma <= lambda, else -inf, so that no extra unit is bought.
+    """
+    c = org.capacity_c.get(i, 0)  # as ``org.capacity`` reads it
+    caps = [0, *c] if isinstance(c, tuple) else [c] * (horizon + 1)
+    cheap = org.cost_expand_gamma.get(i, 0.0) <= org.cost_overflow_lambda.get(i, 0.0)
+    return caps, org.headroom(i) if cheap else -math.inf
+
+
 def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
-    """Copy of ``x`` whose E/O values are the cheapest split of each assigned load."""
-    org_by_id = {o.id: o for o in lp.source_instance.organizations}
+    """Copy of ``x`` whose E/O values are the cheapest split of each assigned load.
+
+    ``cheapest_split``'s rule over all (org, service, day) triples at once:
+    each triple's load is the sum of its X columns, which is exact because
+    X is 0/1 wherever an incumbent is repaired. The index over the triples
+    is built on every call, so it always matches the model.
+    """
     out = x.copy()
-    for (s, i, t), cols in lp.x_by_triple.items():
-        load = int(round(sum(float(out[c]) for c in cols)))
-        e, o = cheapest_split(org_by_id[s], i, t, load)
-        out[lp.e_cols[(s, i, t)]] = float(e)
-        out[lp.o_cols[(s, i, t)]] = float(o)
+    triples = list(lp.x_by_triple)
+    if not triples:
+        return out
+    inst = lp.source_instance
+    org_by_id = {o.id: o for o in inst.organizations}
+    tables: dict[tuple[int, int], tuple[list[int], float]] = {}
+    cap, top = [], []
+    for s, i, t in triples:
+        table = tables.get((s, i))
+        if table is None:
+            table = tables[(s, i)] = _split_table(org_by_id[s], i, inst.horizon_T)
+        cap.append(table[0][t])
+        top.append(table[1])
+    sizes = [len(cols) for cols in lp.x_by_triple.values()]
+    cols = np.fromiter(itertools.chain.from_iterable(lp.x_by_triple.values()), dtype=np.int64,
+                       count=sum(sizes))
+    load = np.rint(np.add.reduceat(out[cols], np.cumsum([0] + sizes[:-1])))
+    cap = np.array(cap, dtype=float)
+    over = np.maximum(load - cap, 0.0)
+    e = np.clip(np.array(top, dtype=float) - cap, 0.0, over)
+    out[np.fromiter(map(lp.e_cols.__getitem__, triples), dtype=np.int64)] = e
+    out[np.fromiter(map(lp.o_cols.__getitem__, triples), dtype=np.int64)] = over - e
     return out
 
 
@@ -414,35 +450,60 @@ def decompose_objective(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
 
 
 class _LoadTracker:
-    """Marginal service cost per (org, service, day) given committed loads."""
+    """Marginal service cost per (org, service, day) given committed loads.
+
+    Each (org, service) pair keeps a cost row: a list indexed by day that
+    holds the cost of one more unit at the day's current load. The row is
+    filled on first use from the pair's price table and re-priced on the
+    days that ``commit`` changes.
+
+    The price follows ``cheapest_split``: the next unit costs r while the
+    load is below the day's capacity c, then r + gamma while an extra unit
+    fits (load below mu, and gamma <= lambda), else r + lambda. Each price
+    is ``r + (gamma * de + lambda * do)`` for the unit change (de, do) of
+    the split, so a unit costs exactly gamma or lambda on top of r.
+    """
 
     def __init__(self, instance: ProblemInstance):
         self.org_by_id = {o.id: o for o in instance.organizations}
-        self.loads: dict[tuple[int, int, int], int] = {}
-        # Marginal cost by (s, i, t, load); it depends on nothing else.
-        self._marginals: dict[tuple[int, int, int, int], float] = {}
+        self.horizon = instance.horizon_T
+        # (org, service) -> (capacity by day, top of the extra units (see
+        # ``_split_table``), prices for (de, do) = (0, 0), (1, 0), (0, 1)).
+        self._prices: dict[tuple[int, int], tuple[list[int], float, tuple[float, ...]]] = {}
+        self._loads: dict[tuple[int, int], list[int]] = {}
+        self._rows: dict[tuple[int, int], list[float]] = {}
+
+    def _price(self, s: int, i: int, t: int, load: int) -> float:
+        cap, top, (p_in, p_extra, p_over) = self._prices[(s, i)]
+        if load < cap[t]:
+            return p_in
+        return p_extra if load < top else p_over
+
+    def row(self, s: int, i: int) -> list[float]:
+        """The cost row of (s, i), indexed by day (index 0 is unused)."""
+        row = self._rows.get((s, i))
+        if row is None:
+            org = self.org_by_id[s]
+            r = org.cost_assign_r.get(i, 0.0)
+            gamma = org.cost_expand_gamma.get(i, 0.0)
+            lam = org.cost_overflow_lambda.get(i, 0.0)
+            self._prices[(s, i)] = (
+                *_split_table(org, i, self.horizon),
+                tuple(r + (gamma * de + lam * do) for de, do in ((0, 0), (1, 0), (0, 1))),
+            )
+            self._loads[(s, i)] = [0] * (self.horizon + 1)
+            row = self._rows[(s, i)] = [self._price(s, i, t, 0) for t in range(self.horizon + 1)]
+        return row
 
     def marginal(self, s: int, i: int, t: int) -> float:
         """Cost of one more unit: r plus the change in the cheapest split's cost."""
-        load = self.loads.get((s, i, t), 0)
-        key = (s, i, t, load)
-        cost = self._marginals.get(key)
-        if cost is None:
-            org = self.org_by_id[s]
-            e0, o0 = cheapest_split(org, i, t, load)
-            e1, o1 = cheapest_split(org, i, t, load + 1)
-            # Priced per changed unit, not as a difference of two totals, so
-            # a unit costs exactly gamma or lambda.
-            cost = self._marginals[key] = org.cost_assign_r.get(i, 0.0) + (
-                org.cost_expand_gamma.get(i, 0.0) * (e1 - e0)
-                + org.cost_overflow_lambda.get(i, 0.0) * (o1 - o0)
-            )
-        return cost
+        return self.row(s, i)[t]
 
     def commit(self, s: int, i: int, days: Iterable[int], sign: int = 1) -> None:
+        row, loads = self.row(s, i), self._loads[(s, i)]
         for t in days:
-            key = (s, i, t)
-            self.loads[key] = self.loads.get(key, 0) + sign
+            loads[t] += sign
+            row[t] = self._price(s, i, t, loads[t])
 
 
 def _greedy_schedule(
@@ -454,7 +515,12 @@ def _greedy_schedule(
     k: int,
     day_domain: Sequence[int],
 ) -> tuple[float, tuple[int, ...]] | None:
-    """Cheapest greedy schedule at one organization, or None if impossible."""
+    """Cheapest greedy schedule at one organization, or None if impossible.
+
+    Costs are read from the tracker's cost row of (s, i). A schedule's cost
+    is the sum of its days' marginals in day order.
+    """
+    row = tracker.row(s, i)
     domain = set(day_domain)
     a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
     starts = [t for t in range(a, b + 1) if t in domain]
@@ -462,12 +528,12 @@ def _greedy_schedule(
         return None
 
     if f == 1:
-        best = min(starts, key=lambda t: (tracker.marginal(s, i, t), t))
-        return tracker.marginal(s, i, best), (best,)
+        best = min(starts, key=lambda t: (row[t], t))
+        return row[best], (best,)
 
     if not periodic:
-        ranked = sorted(day_domain, key=lambda t: (tracker.marginal(s, i, t), t))
-        first = min(starts, key=lambda t: (tracker.marginal(s, i, t), t))
+        ranked = sorted(day_domain, key=lambda t: (row[t], t))
+        first = min(starts, key=lambda t: (row[t], t))
         chosen = [first]
         for t in ranked:
             if len(chosen) == f:
@@ -477,15 +543,28 @@ def _greedy_schedule(
         if len(chosen) < f:
             return None
         days = tuple(sorted(chosen))
-        return sum(tracker.marginal(s, i, t) for t in days), days
+        return sum(row[t] for t in days), days
 
     omega = need.omega
     lo_gap = max(omega - k, 1)
     hi_gap = omega + k
     best_cost, best_days = None, None
+    if lo_gap == hi_gap:
+        # Each start fixes every day (every stay need: omega 1, k 0).
+        for t0 in starts:
+            days = range(t0, t0 + lo_gap * (f - 1) + 1, lo_gap)
+            if not domain.issuperset(days):
+                continue
+            cost = row[t0]
+            for t in days[1:]:
+                cost += row[t]
+            if best_cost is None or cost < best_cost:
+                best_cost, best_days = cost, tuple(days)
+        return None if best_days is None else (best_cost, best_days)
+
     for t0 in starts:
         days = [t0]
-        cost = tracker.marginal(s, i, t0)
+        cost = row[t0]
         ok = True
         for _ in range(f - 1):
             prev = days[-1]
@@ -494,9 +573,9 @@ def _greedy_schedule(
                 ok = False
                 break
             target = prev + omega
-            pick = min(cands, key=lambda t: (tracker.marginal(s, i, t), abs(t - target), t))
+            pick = min(cands, key=lambda t: (row[t], abs(t - target), t))
             days.append(pick)
-            cost += tracker.marginal(s, i, pick)
+            cost += row[pick]
         if ok and (best_cost is None or cost < best_cost):
             best_cost, best_days = cost, tuple(days)
     if best_days is None:

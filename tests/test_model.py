@@ -426,6 +426,15 @@ class TestExports:
             "453bb274f69860221164006204a451bc3151114f2d5c2b244e6e5c98e6f51417"
         )
 
+    def test_triplets_digest_pinned(self, generated_lp, tmp_path):
+        # Recorded when the writer joined all lines before writing; the
+        # streamed file must keep every byte.
+        path = tmp_path / "model.tri"
+        write_triplets(generated_lp, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "879635aae3f4af0873a52dd7d682c0e0ddafea2f674738c37324f9f00e62977a"
+        )
+
     def test_mps_reads_back(self, generated_lp, tmp_path):
         lp = generated_lp
         path = tmp_path / "model.mps"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -518,6 +519,112 @@ class TestCheapestSplit:
         assert float(np.dot(lp.obj, x)) == pytest.approx(120.0)
         assert total == pytest.approx(120.0)
 
+
+def reference_marginal(org_, i, t, load):
+    """The heuristic's marginal cost as two ``cheapest_split`` calls, priced per changed unit."""
+    e0, o0 = cheapest_split(org_, i, t, load)
+    e1, o1 = cheapest_split(org_, i, t, load + 1)
+    return org_.cost_assign_r.get(i, 0.0) + (
+        org_.cost_expand_gamma.get(i, 0.0) * (e1 - e0)
+        + org_.cost_overflow_lambda.get(i, 0.0) * (o1 - o0)
+    )
+
+
+def reference_repair(lp, x):
+    """``repair_expansion`` as one ``cheapest_split`` call per (org, service, day) triple."""
+    org_by_id = {o.id: o for o in lp.source_instance.organizations}
+    out = x.copy()
+    for (s, i, t), cols in lp.x_by_triple.items():
+        load = int(round(sum(float(out[c]) for c in cols)))
+        e, o = cheapest_split(org_by_id[s], i, t, load)
+        out[lp.e_cols[(s, i, t)]] = float(e)
+        out[lp.o_cols[(s, i, t)]] = float(o)
+    return out
+
+
+def mixed_split_instance():
+    """Bed stays against one org whose expansion is dearer than overflow
+    (gamma 30 > lambda 20, with headroom) and one whose capacity varies by day."""
+    days_cap = (0, 1, 2, 1, 0, 2, 1, 0)
+    return make_instance(
+        8, bed_catalog(),
+        [youth(y, a, [bed_need(d, a, a + 1)]) for y, (a, d) in
+         enumerate([(1, 4), (1, 5), (2, 3), (2, 6), (3, 4), (4, 3), (5, 2)], start=1)],
+        [org(1, cap=1, head=2, gamma=30.0, lam=20.0),
+         org(2, cap={1: days_cap}, head={1: 3}, gamma=5.0, lam=20.0),
+         psi_org(3, [1])],
+    )
+
+
+class TestHeuristicPricing:
+    def test_cost_rows_equal_reference_marginal(self, micro_pool):
+        # Random commits of +1 and -1 unit-days; after each, every day of the
+        # committed (org, service) pair is priced at its load.
+        rng = np.random.default_rng(5)
+        for inst in micro_pool + [mixed_split_instance()]:
+            tracker = solver._LoadTracker(inst)
+            org_by_id = {o.id: o for o in inst.organizations}
+            pairs = [(o.id, i) for o in inst.organizations for i in sorted(o.offers)]
+            horizon = inst.horizon_T
+            loads = {}
+            for _ in range(40):
+                s, i = pairs[rng.integers(len(pairs))]
+                days = sorted(rng.choice(np.arange(1, horizon + 1), size=rng.integers(1, horizon + 1),
+                                         replace=False).tolist())
+                can_remove = all(loads.get((s, i, t), 0) > 0 for t in days)
+                sign = -1 if can_remove and rng.random() < 0.3 else 1
+                tracker.commit(s, i, days, sign)
+                for t in days:
+                    loads[(s, i, t)] = loads.get((s, i, t), 0) + sign
+                for t in range(1, horizon + 1):
+                    load = loads.get((s, i, t), 0)
+                    assert tracker.marginal(s, i, t) == reference_marginal(org_by_id[s], i, t, load)
+            assert max(loads.values()) >= 3
+
+    def test_repair_equals_per_triple_split(self, micro_pool):
+        rng = np.random.default_rng(11)
+        for inst in micro_pool + [mixed_split_instance()]:
+            lp = build(inst)
+            x = schedule_heuristic(lp)
+            assert np.array_equal(solver.repair_expansion(lp, x), reference_repair(lp, x))
+            for _ in range(3):
+                # Random 0/1 X columns and arbitrary values everywhere else.
+                x = rng.normal(size=lp.n_cols)
+                for cols in lp.x_by_triple.values():
+                    x[cols] = rng.integers(0, 2, size=len(cols))
+                assert np.array_equal(solver.repair_expansion(lp, x), reference_repair(lp, x))
+
+    def test_mixed_instance_exercises_both_cost_orders(self):
+        lp = build(mixed_split_instance())
+        x = solver.repair_expansion(lp, schedule_heuristic(lp))
+        used = {(s, t) for (s, _, t), col in lp.o_cols.items() if x[col] > 0}
+        extra = {(s, t) for (s, _, t), col in lp.e_cols.items() if x[col] > 0}
+        assert any(s == 1 for s, _ in used)  # org 1 overflows rather than expands
+        assert not any(s == 1 for s, _ in extra)
+
+    def test_heuristic_output_pinned(self):
+        # Digests of the heuristic's x on TREE_POOL instance 3081, recorded
+        # when each marginal was priced by two cheapest_split calls: the
+        # first greedy call, and the guided call of node 1, which starts
+        # from the stays of the bed block's root LP point written into the
+        # first incumbent and improves it (11995 -> 11975).
+        inst = generate_instance(GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3081))
+        lp = build(inst)
+        first = schedule_heuristic(lp)
+        assert hashlib.sha256(first.tobytes()).hexdigest() == (
+            "17ca8ea27dbff0940f76855ead55d05bb1afda98d2ba50a3f69e55819fc45a48"
+        )
+        cols, c, matrix = solver._ServiceBlocks(lp).parts[0]
+        assert {lp.col_refs[j].i for j in cols} == {1}
+        lb, ub = lp.bounds_arrays()
+        x_root = first.copy()
+        x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
+        guided = schedule_heuristic(lp, initial=solver._stays_from_lp(lp, x_root))
+        assert hashlib.sha256(guided.tobytes()).hexdigest() == (
+            "d39323f27667e57f9ac52599147105e000f4c60770494e2cf2e49be523d6fc01"
+        )
+        assert float(lp.obj @ first) == 11995.0
+        assert float(lp.obj @ guided) == 11975.0
 
 class TestVerifier:
     @pytest.fixture()
