@@ -10,18 +10,19 @@ Variables
 
 Constraint families (row annotations)
     2a  per-day capacity: sum_y X <= c + E + O
-    2b  facility headroom: c + E <= mu
+    2b  facility headroom: c + E <= mu, which is E's upper bound mu - c
+        and has no row
     2c  one serving organization per (youth, service)
     2d  continuity link: sum_t X <= T * U, and for a stay need
-        sum_t W <= U per organization
+        sum_t W <= U per organization (C2dw)
     3b  start inside the [a, b] window (>= 1); 3a/2e hold structurally
         because no X column is created outside [a, b+d] or at an
         incompatible or non-offering organization
     4a  non-periodic occurrence count == f
     4b  periodic occurrence count == f plus maximum-gap chain rows so
         consecutive occurrences are at most omega + k days apart; for a
-        stay need, one stay (sum W == 1) and each X day equal to the W
-        mass of the stays that cover it, in place of the gap rows
+        stay need, one stay (C4bw: sum W == 1) and each X day equal to the
+        W mass of the stays that cover it (C4bl)
     4c  minimum-gap windows: at most one occurrence per organization in
         any window of omega - k consecutive days
 
@@ -35,6 +36,12 @@ fractional X profile as a mixture of whole stays, which is the convex hull
 of its schedules and far tighter in relaxation than the gap rows. W is
 integral wherever U and X are, so branching never needs it; solution
 files leave it out.
+
+A stay need's rows are C2c, C4bw, C4bl and C2dw. They imply its other
+rows, in relaxation too: C4bw and C4bl give sum X == f (4b); C2dw and C4bl
+give sum_t X == f * sum_t W <= f * U <= T * U at each organization (2d);
+and every stay's first day lies in [a, b], so the window holds X mass of
+at least sum W == 1 (3b). So a stay need has no C2d, C3b, C4b or gap rows.
 
 X columns are created only on reachable days: for a periodic need the union
 of the per-occurrence intervals [a + j*(omega-k), b + j*(omega+k)], clipped
@@ -383,22 +390,16 @@ class ModelBuilder:
                     for t0 in starts
                 }
 
-        # (2a)/(2b): per-day capacity and headroom on used triples.
+        # (2a): per-day capacity on used triples; (2b) is E's upper bound.
         x_by_triple = lp.x_by_triple = {t: [] for t in triples}
         for (y, s, i), tmap in lp.x_cols.items():
             for t, col in tmap.items():
                 x_by_triple[(s, i, t)].append(col)
         for (s, i, t) in triples:
-            org = org_by_id[s]
-            c = org.capacity(i, t)
-            mu = org.headroom(i)
+            c = org_by_id[s].capacity(i, t)
             cols = x_by_triple[(s, i, t)] + [lp.e_cols[(s, i, t)], lp.o_cols[(s, i, t)]]
             vals = [1.0] * (len(cols) - 2) + [-1.0, -1.0]
             lp.add_row(f"C2a_s{s}_i{i}_t{t}", "2a", SENSE_LE, float(c), cols, vals)
-            lp.add_row(
-                f"C2b_s{s}_i{i}_t{t}", "2b", SENSE_LE, float(mu - c),
-                [lp.e_cols[(s, i, t)]], [1.0],
-            )
 
         # (2c)/(2d)/(3b)/(4a)/(4b)/(4c): per-need scheduling structure.
         for youth, need, svc, orgs, days in need_info:
@@ -407,6 +408,9 @@ class ModelBuilder:
             ucols = [lp.u_cols[(y, s, i)] for s in orgs]
             if ucols:
                 lp.add_row(f"C2c_y{y}_i{i}", "2c", SENSE_LE, 1.0, ucols, [1.0] * len(ucols))
+            # A stay need's W rows imply its 2d, 3b and 4b rows.
+            if (y, i) in stays:
+                continue
             all_x: list[int] = []
             window_x: list[int] = []
             day_cols: dict[int, list[int]] = {t: [] for t in days}
@@ -432,8 +436,7 @@ class ModelBuilder:
                 continue
 
             lp.add_row(f"C4b_y{y}_i{i}", "4b", SENSE_EQ, float(f), all_x, [1.0] * len(all_x))
-            # A stay need's gaps come from its W rows below.
-            if f < 2 or (y, i) in stays:
+            if f < 2:
                 continue
             omega, k = need.omega, svc.flexibility_k
 

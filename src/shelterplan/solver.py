@@ -159,26 +159,6 @@ def save_solution(solution: Solution, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def solve_lp(
-    lp: LinearProgram,
-    bounds: tuple[np.ndarray, np.ndarray] | None = None,
-    time_limit: float | None = None,
-) -> LpResult:
-    """Solve the LP relaxation; deterministic for identical input.
-
-    ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
-    returns LP_LIMIT.
-    """
-    parts, rows_hold = _split(lp, np.zeros(lp.n_cols, dtype=np.int64), *_triplets(lp))
-    if not rows_hold:
-        return LpResult(LP_INFEASIBLE, math.inf, None)
-    if not parts:
-        return LpResult(LP_OPTIMAL, 0.0, np.zeros(0))
-    lb, ub = bounds if bounds is not None else lp.bounds_arrays()
-    _, c, matrix = parts[0]
-    return linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
-
-
 _HIGHS_CORE_NAME = "scipy.optimize._highspy._core"
 _highs_core_module = None
 
@@ -495,10 +475,6 @@ class _LoadTracker:
             row = self._rows[(s, i)] = [self._price(s, i, t, 0) for t in range(self.horizon + 1)]
         return row
 
-    def marginal(self, s: int, i: int, t: int) -> float:
-        """Cost of one more unit: r plus the change in the cheapest split's cost."""
-        return self.row(s, i)[t]
-
     def commit(self, s: int, i: int, days: Iterable[int], sign: int = 1) -> None:
         row, loads = self.row(s, i), self._loads[(s, i)]
         for t in days:
@@ -735,11 +711,10 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     best_obj = math.inf
 
     def try_incumbent(x: np.ndarray) -> None:
+        """Keep ``x``, rounded, if it beats the incumbent; its E/O must be repaired."""
         nonlocal best_x, best_obj
         xr = np.array(x, dtype=float)
         xr[int_mask] = np.round(xr[int_mask])
-        if inst is not None:
-            xr = repair_expansion(lp, xr)
         obj = float(np.dot(lp.obj, xr))
         if obj < best_obj - 1e-9:
             if inst is not None:
@@ -803,7 +778,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             x = np.zeros(lp.n_cols)
             for b, xb in found.items():
                 x[blocks.parts[b][0]] = xb
-            try_incumbent(x)
+            try_incumbent(repair_expansion(lp, x))
         for b, heap in enumerate(heaps):
             if heap and closed(heap[0][0], b):
                 heap.clear()
@@ -861,7 +836,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             if best_x is None:
                 found[b] = x
             else:
-                try_incumbent(with_block(cols, x))
+                try_incumbent(repair_expansion(lp, with_block(cols, x)))
             continue
         v = float(x[j])
         children = [{**patch, j: (lb[j], float(math.floor(v)))},

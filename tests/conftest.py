@@ -1,10 +1,14 @@
-"""Shared fixtures: hand-built instances and the random micro-instance pool."""
+"""Shared fixtures: hand-built instances, the random micro-instance pool, and
+the whole-model LP relaxation."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
+from shelterplan import solver
 from shelterplan.domain import (
     HOUSING,
     INCOMPATIBILITY,
@@ -18,6 +22,22 @@ from shelterplan.domain import (
 )
 
 N_ATTR = 4  # compact attribute set for hand-built instances
+
+
+def solve_lp(lp, bounds=None, time_limit=None):
+    """The LP relaxation of the whole model as one HiGHS solve; deterministic.
+
+    ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
+    returns LP_LIMIT. A violated row without columns makes it infeasible.
+    """
+    parts, rows_hold = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *solver._triplets(lp))
+    if not rows_hold:
+        return solver.LpResult(solver.LP_INFEASIBLE, math.inf, None)
+    if not parts:
+        return solver.LpResult(solver.LP_OPTIMAL, 0.0, np.zeros(0))
+    lb, ub = bounds if bounds is not None else lp.bounds_arrays()
+    _, c, matrix = parts[0]
+    return solver.linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
 
 
 def org(

@@ -20,11 +20,12 @@ from shelterplan.solver import (
     branch_and_bound,
     brute_force,
     enumerate_schedules,
-    solve_lp,
     verify,
 )
 
-from conftest import bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, youth
+from conftest import (
+    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp, youth,
+)
 
 
 def solve(inst, gap=0.0):
@@ -102,6 +103,20 @@ class TestCapacityRows:
                 assert lp.ub[col] == 0.0
         assert not any(k.startswith("E_s1") for k in sol.values)
 
+    def test_headroom_is_the_expansion_bound(self):
+        # 2b (c + E <= mu) is each E column's upper bound, not a row.
+        inst = datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=1)
+        )
+        lp = build(inst)
+        assert "2b" not in lp.row_family
+        orgs = {o.id: o for o in inst.organizations}
+        e_refs = [(col, ref) for col, ref in enumerate(lp.col_refs) if ref.kind == "E"]
+        assert e_refs
+        for col, ref in e_refs:
+            org_ = orgs[ref.s]
+            assert lp.ub[col] == org_.headroom(ref.i) - org_.capacity(ref.i, ref.t)
+
     def test_no_admissible_youth_emits_no_rows(self):
         # Organization 1 rejects this youth, so no (s=1) capacity rows exist.
         inst = make_instance(
@@ -138,13 +153,17 @@ class TestAssignmentRows:
         assert not any(ref.kind in ("U", "X") and ref.s == 2 for ref in lp.col_refs)
 
     def test_2d_rows_link_each_org(self):
+        # A weekly need with flexibility 1 at three organizations. The bed
+        # stay links through its W rows instead (see TestPeriodicityRows).
         inst = make_instance(
-            8, bed_catalog(), [youth(1, 1, [bed_need(3, 1, 2)])],
-            [org(1), org(2), psi_org(3, [1])],
+            30,
+            bed_catalog([ServiceIntensity(2, "Counseling", "Low", True, 1)]),
+            [youth(1, 1, [bed_need(2, 1, 2), ServiceNeed(2, 21, 3, 1, 3)])],
+            [org(1, offers=(1, 2)), org(2, offers=(1, 2)), psi_org(3, [1, 2])],
         )
         lp = build(inst)
         links = [n for n in lp.row_names if n.startswith("C2d_y1")]
-        assert len(links) == 3
+        assert links == ["C2d_y1_s1_i2", "C2d_y1_s2_i2", "C2d_y1_s3_i2"]
 
 
 class TestTimeWindows:
@@ -257,6 +276,8 @@ class TestPeriodicityRows:
         w = [ref.name for ref in lp.col_refs if ref.kind == "W"]
         assert w == ["W_y1_s1_i1_t1", "W_y1_s1_i1_t2", "W_y1_s2_i1_t1", "W_y1_s2_i1_t2"]
         assert not any(name.startswith(("C4bg", "C4bm")) for name in lp.row_names)
+        # W implies the stay's count, window and link rows.
+        assert not any(name.startswith(("C2d_", "C3b_", "C4b_")) for name in lp.row_names)
         families = {}
         for name, fam in zip(lp.row_names, lp.row_family):
             families.setdefault(name.split("_")[0], set()).add(fam)
@@ -360,10 +381,12 @@ class TestSecondOpinion:
             else:
                 assert res.status == 2, seed
 
-    @pytest.mark.parametrize("seed, root", [(3081, 11961.0), (3118, 11024.0)])
+    @pytest.mark.parametrize("seed, root", [(3081, 11961.0), (3118, 11024.0), (3120, 9603.0)])
     def test_root_bound_pinned(self, seed, root):
-        # The root LP value the solver reached on its private strengthened
-        # copy of the model before the W columns moved into the built model.
+        # 3081's and 3118's are the root LP values the solver reached on its
+        # private strengthened copy of the model before the W columns moved
+        # into the built model; 3120's is that of the model that still had
+        # the rows E's bounds and the W rows imply.
         inst = datagen.generate_instance(
             datagen.GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=seed)
         )
@@ -419,20 +442,20 @@ class TestExports:
         ))
 
     def test_mps_digest_pinned(self, generated_lp, tmp_path):
-        # The digest of the file for the model with the stay (W) encoding.
+        # The digest of the file for the model without the rows that E's
+        # bounds and the W rows imply.
         path = tmp_path / "model.mps"
         write_mps(generated_lp, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "453bb274f69860221164006204a451bc3151114f2d5c2b244e6e5c98e6f51417"
+            "52ab22496d51eb61850baa8dea8156a3e842b1cb48a36489d9e53280f232d72e"
         )
 
     def test_triplets_digest_pinned(self, generated_lp, tmp_path):
-        # Recorded when the writer joined all lines before writing; the
-        # streamed file must keep every byte.
+        # The file of the same model as the MPS digest above.
         path = tmp_path / "model.tri"
         write_triplets(generated_lp, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "879635aae3f4af0873a52dd7d682c0e0ddafea2f674738c37324f9f00e62977a"
+            "5fdce9cc241589710cc9df7acdb1faa20564bf129a2179619c528cd48ea3dd07"
         )
 
     def test_mps_reads_back(self, generated_lp, tmp_path):

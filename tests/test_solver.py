@@ -27,11 +27,12 @@ from shelterplan.solver import (
     cheapest_split,
     enumerate_schedules,
     schedule_heuristic,
-    solve_lp,
     verify,
 )
 
-from conftest import bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, youth
+from conftest import (
+    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp, youth,
+)
 
 
 def hand_lp():
@@ -483,6 +484,39 @@ class TestServiceBlocks:
         assert verify(inst, sol).ok
 
 
+def tree_pool_instance(seed):
+    """A 30-youth, 60-day desk instance of the benchmark's TREE_POOL."""
+    return generate_instance(GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=seed))
+
+
+class TestTreePool:
+    # The sums of the per-block optima of scipy's HiGHS MIP, found as in
+    # test_cut_short_search_brackets_block_optima and pinned here.
+    @pytest.mark.parametrize("seed, optimum", [
+        (3026, 10142.0), (3045, 12611.0), (3081, 11961.0), (3088, 10696.0),
+        (3108, 11241.0), (3112, 12460.0), (3114, 9619.0), (3120, 9616.0),
+    ])
+    def test_four_node_search_brackets_optimum(self, seed, optimum):
+        inst = tree_pool_instance(seed)
+        sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0, node_limit=4))
+        assert sol.bound <= optimum + 1e-6
+        assert optimum <= sol.objective + 1e-6
+        assert verify(inst, sol).ok
+
+    def test_each_incumbent_is_repaired_once(self, monkeypatch):
+        # Both incumbents of 3081 come from the heuristic, which repairs
+        # its own point.
+        calls = []
+        real = solver.repair_expansion
+        monkeypatch.setattr(
+            solver, "repair_expansion", lambda *a, **kw: calls.append(1) or real(*a, **kw)
+        )
+        sol = branch_and_bound(build(tree_pool_instance(3081)),
+                               SolverConfig(rel_gap=0.0, node_limit=4))
+        assert sol.objective == 11975.0
+        assert len(calls) == 2
+
+
 class TestCheapestSplit:
     # Capacity c = 2 and headroom mu = 4 for every case.
     @pytest.mark.parametrize(
@@ -514,7 +548,7 @@ class TestCheapestSplit:
         total = 0.0
         for (y, s, i), tmap in lp.x_cols.items():
             days = [t for t, col in tmap.items() if x[col] > 0.5]
-            total += sum(tracker.marginal(s, i, t) for t in days)
+            total += sum(tracker.row(s, i)[t] for t in days)
             tracker.commit(s, i, days)
         assert float(np.dot(lp.obj, x)) == pytest.approx(120.0)
         assert total == pytest.approx(120.0)
@@ -578,7 +612,7 @@ class TestHeuristicPricing:
                     loads[(s, i, t)] = loads.get((s, i, t), 0) + sign
                 for t in range(1, horizon + 1):
                     load = loads.get((s, i, t), 0)
-                    assert tracker.marginal(s, i, t) == reference_marginal(org_by_id[s], i, t, load)
+                    assert tracker.row(s, i)[t] == reference_marginal(org_by_id[s], i, t, load)
             assert max(loads.values()) >= 3
 
     def test_repair_equals_per_triple_split(self, micro_pool):
@@ -603,13 +637,14 @@ class TestHeuristicPricing:
         assert not any(s == 1 for s, _ in extra)
 
     def test_heuristic_output_pinned(self):
-        # Digests of the heuristic's x on TREE_POOL instance 3081, recorded
-        # when each marginal was priced by two cheapest_split calls: the
-        # first greedy call, and the guided call of node 1, which starts
+        # Digests of the heuristic's x on TREE_POOL instance 3081: the first
+        # greedy call, recorded when each marginal was priced by two
+        # cheapest_split calls, and the guided call of node 1, which starts
         # from the stays of the bed block's root LP point written into the
-        # first incumbent and improves it (11995 -> 11975).
-        inst = generate_instance(GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3081))
-        lp = build(inst)
+        # first incumbent and improves it (11995 -> 11975). The guided digest
+        # was recorded when the stays lost their implied rows, which moved
+        # the root LP to another vertex.
+        lp = build(tree_pool_instance(3081))
         first = schedule_heuristic(lp)
         assert hashlib.sha256(first.tobytes()).hexdigest() == (
             "17ca8ea27dbff0940f76855ead55d05bb1afda98d2ba50a3f69e55819fc45a48"
@@ -621,7 +656,7 @@ class TestHeuristicPricing:
         x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
         guided = schedule_heuristic(lp, initial=solver._stays_from_lp(lp, x_root))
         assert hashlib.sha256(guided.tobytes()).hexdigest() == (
-            "d39323f27667e57f9ac52599147105e000f4c60770494e2cf2e49be523d6fc01"
+            "ce570bea76b879aab5f3be5f45487248c029b23b054b115c2c056d7303f32439"
         )
         assert float(lp.obj @ first) == 11995.0
         assert float(lp.obj @ guided) == 11975.0
