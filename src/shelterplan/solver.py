@@ -5,7 +5,12 @@ scipy ships (``scipy.optimize._highspy._core``). It is loaded from its file,
 so a solve imports neither scipy.optimize nor scipy.sparse, and ``linprog``
 hands it the matrices and options that ``scipy.optimize.linprog`` would.
 The search, branching, incumbent handling and stopping rule live here. A
-schedule-aware greedy heuristic provides the first incumbent.
+greedy heuristic provides the first incumbent. Given the other needs'
+loads, it gives each need the cheapest schedule the model admits (f days
+with X columns, the first in [a, b], consecutive ones omega - k (at least
+1) to omega + k days apart if periodic), the earliest among ties: by its
+start when that fixes the days (f == 1 or k == 0, as for stays), else by
+a dynamic program over (occurrence, day).
 
 Every row of the model involves one service, so the model is separable by
 service block and the search keeps one tree per block: a node is one
@@ -38,8 +43,9 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -487,76 +493,68 @@ def _greedy_schedule(
     s: int,
     i: int,
     need,
-    periodic: bool,
-    k: int,
-    day_domain: Sequence[int],
+    gaps: tuple[int, int],
+    domain: Mapping[int, object],
 ) -> tuple[float, tuple[int, ...]] | None:
-    """Cheapest greedy schedule at one organization, or None if impossible.
+    """Cheapest schedule of ``need`` at organization s, or None if it has none.
 
-    Costs are read from the tracker's cost row of (s, i). A schedule's cost
-    is the sum of its days' marginals in day order.
+    A schedule is f days of ``domain`` (keyed by day, in increasing order),
+    the first in [a, b] and each next one lo to hi days later, where
+    ``gaps`` = (lo, hi). Its cost is the sum of its days' entries in the
+    tracker's cost row of (s, i), added in day order. When a start fixes
+    the schedule (f == 1 or lo == hi), each start is priced, and ties go to
+    the earliest. Otherwise a dynamic program finds it: occurrence j on day
+    t costs row[t] plus the least cost of occurrence j - 1 on a day in
+    [t - hi, t - lo], a sliding-window minimum over the days occurrence
+    j - 1 can fall on. Ties go to the earliest last day, then to the
+    earliest day before each chosen one.
     """
     row = tracker.row(s, i)
-    domain = set(day_domain)
     a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
-    starts = [t for t in range(a, b + 1) if t in domain]
-    if not starts:
-        return None
-
-    if f == 1:
-        best = min(starts, key=lambda t: (row[t], t))
-        return row[best], (best,)
-
-    if not periodic:
-        ranked = sorted(day_domain, key=lambda t: (row[t], t))
-        first = min(starts, key=lambda t: (row[t], t))
-        chosen = [first]
-        for t in ranked:
-            if len(chosen) == f:
-                break
-            if t != first:
-                chosen.append(t)
-        if len(chosen) < f:
-            return None
-        days = tuple(sorted(chosen))
-        return sum(row[t] for t in days), days
-
-    omega = need.omega
-    lo_gap = max(omega - k, 1)
-    hi_gap = omega + k
-    best_cost, best_days = None, None
-    if lo_gap == hi_gap:
-        # Each start fixes every day (every stay need: omega 1, k 0).
-        for t0 in starts:
-            days = range(t0, t0 + lo_gap * (f - 1) + 1, lo_gap)
-            if not domain.issuperset(days):
-                continue
-            cost = row[t0]
-            for t in days[1:]:
+    lo, hi = gaps
+    if f == 1 or lo == hi:
+        best = None
+        for t0 in range(a, b + 1):
+            days = range(t0, t0 + lo * (f - 1) + 1, lo)
+            cost = 0.0
+            for t in days:
+                if t not in domain:
+                    break
                 cost += row[t]
-            if best_cost is None or cost < best_cost:
-                best_cost, best_days = cost, tuple(days)
-        return None if best_days is None else (best_cost, best_days)
+            else:
+                if best is None or cost < best[0]:
+                    best = (cost, tuple(days))
+        return best
 
-    for t0 in starts:
-        days = [t0]
-        cost = row[t0]
-        ok = True
-        for _ in range(f - 1):
-            prev = days[-1]
-            cands = [t for t in range(prev + lo_gap, prev + hi_gap + 1) if t in domain]
-            if not cands:
-                ok = False
+    layer = {t: row[t] for t in range(a, b + 1) if t in domain}
+    back = []
+    for _ in range(f - 1):
+        prev, layer, ptr = layer, {}, {}
+        days = iter(prev)
+        nxt = next(days, None)
+        # Days of prev in [t - hi, t - lo] by increasing cost, earliest first.
+        window: deque[int] = deque()
+        for t in domain:
+            while nxt is not None and nxt <= t - lo:
+                while window and prev[window[-1]] > prev[nxt]:
+                    window.pop()
+                window.append(nxt)
+                nxt = next(days, None)
+            while window and window[0] < t - hi:
+                window.popleft()
+            if window:
+                ptr[t] = window[0]
+                layer[t] = prev[window[0]] + row[t]
+            elif nxt is None:
                 break
-            target = prev + omega
-            pick = min(cands, key=lambda t: (row[t], abs(t - target), t))
-            days.append(pick)
-            cost += row[pick]
-        if ok and (best_cost is None or cost < best_cost):
-            best_cost, best_days = cost, tuple(days)
-    if best_days is None:
+        back.append(ptr)
+    if not layer:
         return None
-    return best_cost, best_days
+    least = min(layer.values())
+    chosen = [next(t for t, cost in layer.items() if cost == least)]
+    for ptr in reversed(back):
+        chosen.append(ptr[chosen[-1]])
+    return least, tuple(reversed(chosen))
 
 
 def schedule_heuristic(
@@ -583,24 +581,27 @@ def schedule_heuristic(
             chosen[key] = (s, days)
             tracker.commit(s, key[1], days, sign=1)
 
+    # Once per call: each need's gaps, and each (y, s, i) domain's days sorted.
     needs = []
     for youth in inst.youths:
         for need in youth.needs:
-            needs.append((youth, need))
+            svc, omega = catalog.get(need.service), need.omega
+            k = svc.flexibility_k
+            gaps = (max(omega - k, 1), omega + k) if svc.periodic else (1, inst.horizon_T)
+            needs.append((youth, need, gaps))
+    domains = {key: dict.fromkeys(sorted(tmap)) for key, tmap in lp.x_cols.items()}
 
     for pass_no in range(passes):
         changed = False
-        for youth, need in needs:
+        for youth, need, gaps in needs:
             key = (youth.id, need.service)
-            svc = catalog.get(need.service)
             if key in chosen:
                 s_old, days_old = chosen[key]
                 tracker.commit(s_old, need.service, days_old, sign=-1)
             best = None
-            for s in lp.need_orgs[(youth.id, need.service)]:
-                domain = sorted(lp.x_cols[(youth.id, s, need.service)])
+            for s in lp.need_orgs[key]:
                 res = _greedy_schedule(
-                    tracker, s, need.service, need, svc.periodic, svc.flexibility_k, domain
+                    tracker, s, need.service, need, gaps, domains[(youth.id, s, need.service)]
                 )
                 if res is None:
                     continue
@@ -723,23 +724,21 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
                     raise SolverError(f"incumbent failed verification: {report.first_failure()}")
             best_x, best_obj = xr, obj
 
-    def guided_incumbent(x: np.ndarray) -> None:
+    def heuristic_incumbent(x_lp: np.ndarray | None = None) -> None:
+        """Offer the heuristic's point, seeded by ``x_lp``'s stays; a rejected point raises."""
         if inst is None or not inst.youths:
             return
+        initial = None if x_lp is None else _stays_from_lp(lp, x_lp)
         try:
-            initial = _stays_from_lp(lp, x)
-            try_incumbent(schedule_heuristic(lp, initial=initial, _deadline=deadline))
-        except SolverError:
-            pass
-
-    past_deadline = deadline is not None and time.monotonic() > deadline
-    if inst is not None and lp.n_cols > 0 and inst.youths and not past_deadline:
-        try:
-            try_incumbent(schedule_heuristic(lp, _deadline=deadline))
+            x = schedule_heuristic(lp, initial=initial, _deadline=deadline)
         except SolverError:
             # No greedy schedule exists (hand-crafted instance); let the
             # search discover infeasibility or a solution on its own.
-            pass
+            return
+        try_incumbent(x)
+
+    if lp.n_cols > 0 and not (deadline is not None and time.monotonic() > deadline):
+        heuristic_incumbent()
 
     # Integral points of single blocks, kept until every block has one
     # while there is no incumbent.
@@ -828,7 +827,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             continue
         x = res.x
         if node_count == 1:
-            guided_incumbent(with_block(cols, x))
+            heuristic_incumbent(with_block(cols, x))
             if closed(res.objective, b):
                 continue
         j = _select_branch_var(lp, cols, x)

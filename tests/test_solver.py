@@ -16,7 +16,6 @@ from shelterplan.solver import (
     LP_LIMIT,
     LP_OPTIMAL,
     STATUS_INFEASIBLE,
-    STATUS_NODES,
     STATUS_OPTIMAL,
     STATUS_TIME,
     BruteForceTooLarge,
@@ -315,6 +314,22 @@ class TestBranchAndBound:
         # The cut-short root stays open: nothing proves the incumbent optimal.
         assert sol.bound < sol.objective
 
+    def test_heuristic_point_failing_verification_raises(self, monkeypatch):
+        # Only "no feasible schedule" lets the search go on without the
+        # heuristic; a point that fails the verifier is a fault.
+        real = solver.schedule_heuristic
+
+        def heuristic(lp, *args, **kwargs):
+            x = real(lp, *args, **kwargs)
+            cols = [col for tmap in lp.x_cols.values() for col in tmap.values()]
+            x[next(col for col in cols if x[col] == 1.0)] = 0.0
+            return x
+
+        monkeypatch.setattr(solver, "schedule_heuristic", heuristic)
+        inst = generate_instance(GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=1))
+        with pytest.raises(solver.SolverError, match="failed verification"):
+            branch_and_bound(build(inst), SolverConfig(rel_gap=0.0))
+
     def test_infeasible_without_catch_all(self):
         # The single organization rejects the youth and no catch-all exists.
         inst = make_instance(
@@ -475,11 +490,13 @@ class TestServiceBlocks:
     def test_gap_zero_search_matches_full_resolves(self):
         inst = generate_instance(GenerationConfig(n_youth=20, horizon_T=30, bed_scale=0.1, seed=14))
         sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0, node_limit=25))
-        # Status, objective and bound of the search that re-solved the whole
-        # LP at every node.
-        assert sol.status == STATUS_NODES
-        assert sol.node_count == 25
-        assert sol.objective == 2333.0
+        # 2329 is the bound of the search that re-solved the whole LP at
+        # every node. Since each need's schedule is the cheapest one given
+        # the other needs' loads, the heuristic finds a point of that cost,
+        # and the search proves it optimal after 3 nodes.
+        assert sol.status == STATUS_OPTIMAL
+        assert sol.node_count == 3
+        assert sol.objective == 2329.0
         assert sol.bound == pytest.approx(2329.0, abs=1e-6)
         assert verify(inst, sol).ok
 
@@ -590,7 +607,61 @@ def mixed_split_instance():
     )
 
 
+def count_schedules(need, periodic, k, horizon_T):
+    """``len(enumerate_schedules(...))``, counted without listing the schedules."""
+    a, b, d, f = need.window_start_a, need.window_end_b, need.duration_d, need.frequency_f
+    upper = min(b + d, horizon_T)
+    starts = range(a, min(b, horizon_T) + 1)
+    if f == 1:
+        return len(starts)
+    if not periodic:
+        return sum(math.comb(upper - first, f - 1) for first in starts)
+    lo, hi = max(need.omega - k, 1), need.omega + k
+    ways = [1 if t in starts else 0 for t in range(upper + 1)]
+    for _ in range(f - 1):
+        ways = [sum(ways[max(t - hi, 0):max(t - lo + 1, 0)]) for t in range(upper + 1)]
+    return sum(ways)
+
+
 class TestHeuristicPricing:
+    def test_schedule_is_cheapest_of_the_oracles(self, micro_pool):
+        # Every need with at most 5000 schedules, at each of its
+        # organizations, against a random cost row: the heuristic's schedule
+        # is one of the oracle's schedules in the X domain, at their least
+        # cost, and among those of least cost the earliest, compared from the
+        # last day back. It has none exactly when the oracle has none there.
+        rng = np.random.default_rng(12)
+        checked = {"micro": 0, "3081": 0}
+        for name, inst in [*(("micro", inst) for inst in micro_pool),
+                           ("3081", tree_pool_instance(3081))]:
+            lp = build(inst)
+            T = inst.horizon_T
+            for y in inst.youths:
+                for need in y.needs:
+                    svc = inst.services.get(need.service)
+                    k = svc.flexibility_k
+                    if count_schedules(need, svc.periodic, k, T) > 5000:
+                        continue
+                    gaps = (max(need.omega - k, 1), need.omega + k) if svc.periodic else (1, T)
+                    schedules = np.array(enumerate_schedules(need, svc.periodic, k, T), dtype=int)
+                    for s in lp.need_orgs[(y.id, need.service)]:
+                        domain = lp.x_cols[(y.id, s, need.service)]
+                        inside = schedules[np.isin(schedules, list(domain)).all(axis=1)]
+                        row = rng.integers(0, 10, size=T + 1).astype(float).tolist()
+                        tracker = SimpleNamespace(row=lambda s_, i_, row=row: row)
+                        res = solver._greedy_schedule(tracker, s, need.service, need, gaps,
+                                                      dict.fromkeys(sorted(domain)))
+                        checked[name] += 1
+                        if not len(inside):
+                            assert res is None
+                            continue
+                        cost, days = res
+                        costs = np.asarray(row)[inside].sum(axis=1)
+                        least = inside[costs == costs.min()].tolist()
+                        assert cost == costs.min() == sum(row[t] for t in days)
+                        assert list(days) == min(least, key=lambda d: d[::-1])
+        assert checked == {"micro": 426, "3081": 971}
+
     def test_cost_rows_equal_reference_marginal(self, micro_pool):
         # Random commits of +1 and -1 unit-days; after each, every day of the
         # committed (org, service) pair is priced at its load.
@@ -638,16 +709,15 @@ class TestHeuristicPricing:
 
     def test_heuristic_output_pinned(self):
         # Digests of the heuristic's x on TREE_POOL instance 3081: the first
-        # greedy call, recorded when each marginal was priced by two
-        # cheapest_split calls, and the guided call of node 1, which starts
-        # from the stays of the bed block's root LP point written into the
-        # first incumbent and improves it (11995 -> 11975). The guided digest
-        # was recorded when the stays lost their implied rows, which moved
-        # the root LP to another vertex.
+        # greedy call, and the guided call of node 1, which starts from the
+        # stays of the bed block's root LP point written into the first
+        # incumbent and improves it (11995 -> 11975). Both were recorded when
+        # each need other than a stay or a single occurrence got its exact
+        # cheapest schedule, which moved days at equal cost.
         lp = build(tree_pool_instance(3081))
         first = schedule_heuristic(lp)
         assert hashlib.sha256(first.tobytes()).hexdigest() == (
-            "17ca8ea27dbff0940f76855ead55d05bb1afda98d2ba50a3f69e55819fc45a48"
+            "d0cf6a82a9fc6944fcf1f92795af938b52b7af77368ffaf0b535c72ab5a0359e"
         )
         cols, c, matrix = solver._ServiceBlocks(lp).parts[0]
         assert {lp.col_refs[j].i for j in cols} == {1}
@@ -656,7 +726,7 @@ class TestHeuristicPricing:
         x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
         guided = schedule_heuristic(lp, initial=solver._stays_from_lp(lp, x_root))
         assert hashlib.sha256(guided.tobytes()).hexdigest() == (
-            "ce570bea76b879aab5f3be5f45487248c029b23b054b115c2c056d7303f32439"
+            "2fd9e85e486b66fff3273443cfb614c781bc57c5a96dba38746c5534c1987857"
         )
         assert float(lp.obj @ first) == 11995.0
         assert float(lp.obj @ guided) == 11975.0
