@@ -48,10 +48,19 @@ of the per-occurrence intervals [a + j*(omega-k), b + j*(omega+k)], clipped
 to [a, min(b + d, T)]; for a single-occurrence need just [a, b]; otherwise
 the full [a, min(b + d, T)]. W columns follow the O columns, and the W rows
 follow all other rows.
+
+The builder makes no Python object per nonzero. A need's X columns are
+consecutive (by organization, then day), so it emits each row family as
+arrays through ``LinearProgram.add_rows``: C2a in one call for all
+triples; per need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a rotation
+of the need's later days) and the C4c windows; per stay need C4bw, then
+C4bl and C2dw per organization. Row order, names and the order of each
+row's nonzeros are those of adding the rows one at a time.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -113,8 +122,19 @@ def index_values(values: Mapping[str, float]) -> dict[str, dict[tuple[int, ...],
     return tables
 
 
+# Nonzeros after which add_rows merges its latest chunks into one.
+_MERGE_NNZ = 1 << 20
+
+
 class LinearProgram:
-    """Annotated sparse model: objective, rows, bounds, integrality."""
+    """Annotated sparse model: objective, rows, bounds, integrality.
+
+    Columns and the per-row name, family, sense and rhs are lists. The
+    nonzeros are typed arrays (int32 rows and columns, float64 values),
+    appended one chunk per ``add_rows`` call and joined on the first read
+    after it (``nonzeros``). ``add_row`` appends a one-row chunk, so a
+    hand-built LP and a generated one share the same storage.
+    """
 
     def __init__(self, instance: ProblemInstance | None = None):
         self.source_instance = instance
@@ -127,9 +147,12 @@ class LinearProgram:
         self.row_family: list[str] = []
         self.row_sense: list[str] = []
         self.rhs: list[float] = []
-        self._tri_row: list[int] = []
-        self._tri_col: list[int] = []
-        self._tri_val: list[float] = []
+        # Chunks of the nonzeros' rows, columns and values, in row order;
+        # the last _fresh of them are not yet merged.
+        self._chunks: tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]] = ([], [], [])
+        self._fresh = 0
+        self._fresh_nnz = 0
+        self._nnz = 0
         # Structured lookups used by the solver heuristic and reporting.
         self.u_cols: dict[tuple[int, int, int], int] = {}
         self.x_cols: dict[tuple[int, int, int], dict[int, int]] = {}
@@ -156,13 +179,59 @@ class LinearProgram:
         ub: float,
         integer: bool,
     ) -> int:
-        col = len(self.col_refs)
-        self.col_refs.append(VariableRef(kind, y, s, i, t, col))
-        self.obj.append(obj)
-        self.lb.append(lb)
-        self.ub.append(ub)
-        self.is_integer.append(integer)
-        return col
+        return self.add_cols(kind, 1, y=y, s=s, i=i, t=t, obj=obj, lb=lb, ub=ub,
+                             integer=integer)[0]
+
+    def add_cols(self, kind: str, count: int, *, y, s, i, t, obj, lb, ub, integer: bool) -> range:
+        """``count`` columns of one kind; their indices.
+
+        Each of ``y``, ``s``, ``i``, ``t``, ``obj``, ``lb`` and ``ub`` is a
+        list with one value per column, or one value for all of them.
+        """
+        first = len(self.col_refs)
+        fields = [v if isinstance(v, list) else repeat(v, count) for v in (y, s, i, t)]
+        cols = range(first, first + count)
+        # tuple.__new__ is what VariableRef(...) calls, minus a Python frame.
+        self.col_refs.extend(
+            map(tuple.__new__, repeat(VariableRef), zip(repeat(kind), *fields, cols))
+        )
+        for values, given in ((self.obj, obj), (self.lb, lb), (self.ub, ub)):
+            values.extend(given if isinstance(given, list) else [given] * count)
+        self.is_integer.extend([integer] * count)
+        return cols
+
+    def add_rows(
+        self,
+        names: list[str],
+        family: str,
+        sense: str,
+        rhs: list[float],
+        counts: list[int] | np.ndarray,
+        cols: list[int] | np.ndarray,
+        vals: list[float] | np.ndarray,
+    ) -> None:
+        """Append rows of one family and sense; row j holds the next counts[j] entries."""
+        first = len(self.row_names)
+        self.row_names.extend(names)
+        self.row_family.extend([family] * len(names))
+        self.row_sense.extend([sense] * len(names))
+        self.rhs.extend(rhs)
+        rows = np.repeat(np.arange(first, len(self.row_names), dtype=np.int32), counts)
+        cols = np.asarray(cols, dtype=np.int32)
+        vals = np.asarray(vals, dtype=np.float64)
+        if not (rows.size == cols.size == vals.size):
+            raise ValueError("row counts, columns and values disagree in length")
+        for chunks, part in zip(self._chunks, (rows, cols, vals)):
+            chunks.append(part)
+        self._nnz += rows.size
+        self._fresh += 1
+        self._fresh_nnz += rows.size
+        if self._fresh_nnz >= _MERGE_NNZ:
+            # Few large arrays instead of many small ones: freeing them
+            # after the final join returns their memory.
+            for chunks in self._chunks:
+                chunks[-self._fresh:] = [np.concatenate(chunks[-self._fresh:])]
+            self._fresh = self._fresh_nnz = 0
 
     def add_row(
         self,
@@ -173,15 +242,23 @@ class LinearProgram:
         cols: list[int] | np.ndarray,
         vals: list[float] | np.ndarray,
     ) -> int:
-        row = len(self.row_names)
-        self.row_names.append(name)
-        self.row_family.append(family)
-        self.row_sense.append(sense)
-        self.rhs.append(rhs)
-        self._tri_row.extend([row] * len(cols))
-        self._tri_col.extend(int(c) for c in cols)
-        self._tri_val.extend(float(v) for v in vals)
-        return row
+        self.add_rows([name], family, sense, [rhs], [len(cols)], cols, vals)
+        return len(self.row_names) - 1
+
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row (int32), column (int32) and value (float64) of every nonzero, in row order."""
+        for chunks, dtype in zip(self._chunks, (np.int32, np.int32, np.float64)):
+            if len(chunks) != 1:
+                # One array at a time, so the join holds one extra copy at most.
+                chunks[:] = [np.concatenate(chunks) if chunks else np.empty(0, dtype)]
+        self._fresh = self._fresh_nnz = 0
+        rows, cols, vals = (chunks[0] for chunks in self._chunks)
+        return rows, cols, vals
+
+    # The nonzeros by part, as the writers' tests read them.
+    _tri_row = property(lambda self: self.nonzeros()[0])
+    _tri_col = property(lambda self: self.nonzeros()[1])
+    _tri_val = property(lambda self: self.nonzeros()[2])
 
     # -- properties --------------------------------------------------------
 
@@ -195,7 +272,7 @@ class LinearProgram:
 
     @property
     def nnz(self) -> int:
-        return len(self._tri_val)
+        return self._nnz
 
     def counts_by_family(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -224,13 +301,8 @@ class LinearProgram:
         import scipy.sparse as sp
 
         n, m = self.n_cols, self.n_rows
-        A = sp.csr_matrix(
-            (
-                np.asarray(self._tri_val, dtype=float),
-                (np.asarray(self._tri_row, dtype=np.int64), np.asarray(self._tri_col, dtype=np.int64)),
-            ),
-            shape=(m, max(n, 1)),
-        )
+        rows, cols, vals = self.nonzeros()
+        A = sp.csr_matrix((vals, (rows, cols)), shape=(m, max(n, 1)))
         sense = np.asarray(self.row_sense)
         rhs = np.asarray(self.rhs, dtype=float)
         le = np.flatnonzero(sense == SENSE_LE)
@@ -337,172 +409,195 @@ class ModelBuilder:
                 lp.need_orgs[(youth.id, need.service)] = orgs
 
         for youth, need, svc, orgs, days in need_info:
-            for s in orgs:
-                lp.u_cols[(youth.id, s, need.service)] = lp.add_col(
-                    "U", y=youth.id, s=s, i=need.service, t=None,
-                    obj=0.0, lb=0.0, ub=1.0, integer=True,
-                )
+            y, i = youth.id, need.service
+            cols = lp.add_cols("U", len(orgs), y=y, s=orgs, i=i, t=None, obj=0.0, lb=0.0,
+                               ub=1.0, integer=True)
+            lp.u_cols.update(zip([(y, s, i) for s in orgs], cols))
 
-        used_triples: set[tuple[int, int, int]] = set()
+        # A need's X columns are consecutive, by organization and then by
+        # day; x_blocks holds each need's as a (day, org) array.
+        x_blocks = []
+        x_keys: tuple[list[int], list[int], list[int]] = ([], [], [])  # s, i, t of each
+        x_first = lp.n_cols
         for youth, need, svc, orgs, days in need_info:
+            y, i = youth.id, need.service
+            first = lp.n_cols
             for s in orgs:
-                org = org_by_id[s]
-                r = org.cost_assign_r.get(need.service, 0.0)
-                tmap: dict[int, int] = {}
-                for t in days:
-                    tmap[t] = lp.add_col(
-                        "X", y=youth.id, s=s, i=need.service, t=t,
-                        obj=r, lb=0.0, ub=1.0, integer=True,
-                    )
-                    used_triples.add((s, need.service, t))
-                lp.x_cols[(youth.id, s, need.service)] = tmap
+                cols = lp.add_cols("X", len(days), y=y, s=s, i=i, t=days,
+                                   obj=org_by_id[s].cost_assign_r.get(i, 0.0), lb=0.0, ub=1.0,
+                                   integer=True)
+                lp.x_cols[(y, s, i)] = dict(zip(days, cols))
+                x_keys[0].extend([s] * len(days))
+                x_keys[1].extend([i] * len(days))
+                x_keys[2].extend(days)
+            x_blocks.append(np.arange(first, lp.n_cols).reshape(len(orgs), len(days)).T)
 
-        triples = sorted(used_triples)
-        for (s, i, t) in triples:
-            org = org_by_id[s]
-            mu = org.headroom(i)
-            c = org.capacity(i, t)
-            lp.e_cols[(s, i, t)] = lp.add_col(
-                "E", y=None, s=s, i=i, t=t,
-                obj=org.cost_expand_gamma.get(i, 0.0),
-                lb=0.0, ub=float(mu - c), integer=True,
-            )
-        for (s, i, t) in triples:
-            org = org_by_id[s]
-            lp.o_cols[(s, i, t)] = lp.add_col(
-                "O", y=None, s=s, i=i, t=t,
-                obj=org.cost_overflow_lambda.get(i, 0.0),
-                lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
-            )
+        # Used (s, i, t) triples in sorted order, each with its X columns.
+        s_of, i_of, t_of = (np.asarray(keys, dtype=np.int64) for keys in x_keys)
+        order = np.lexsort((t_of, i_of, s_of))
+        s_of, i_of, t_of = s_of[order], i_of[order], t_of[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = (np.diff(s_of) != 0) | (np.diff(i_of) != 0) | (np.diff(t_of) != 0)
+        heads = np.flatnonzero(new)
+        keys = {"s": s_of[heads].tolist(), "i": i_of[heads].tolist(), "t": t_of[heads].tolist()}
+        triples = list(zip(keys["s"], keys["i"], keys["t"]))
+        x_sorted = order + x_first
+        cuts = np.append(heads, order.size)
+        x_list, bounds = x_sorted.tolist(), cuts.tolist()
+        lp.x_by_triple = {triple: x_list[lo:hi] for triple, lo, hi in zip(triples, bounds, bounds[1:])}
 
-        stays = {}  # (y, i) -> (orgs, days, f, starts) of each stay need
-        for youth, need, svc, orgs, days in need_info:
+        caps = [float(org_by_id[s].capacity(i, t)) for (s, i, t) in triples]
+        e_cols = lp.add_cols(
+            "E", len(triples), y=None, **keys,
+            obj=[org_by_id[s].cost_expand_gamma.get(i, 0.0) for (s, i, t) in triples],
+            lb=0.0, ub=[float(org_by_id[s].headroom(i) - c) for (s, i, t), c in zip(triples, caps)],
+            integer=True,
+        )
+        o_cols = lp.add_cols(
+            "O", len(triples), y=None, **keys,
+            obj=[org_by_id[s].cost_overflow_lambda.get(i, 0.0) for (s, i, t) in triples],
+            lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
+        )
+        lp.e_cols = dict(zip(triples, e_cols))
+        lp.o_cols = dict(zip(triples, o_cols))
+
+        stays = {}  # (y, i) -> (days, f, starts, X, W) of each stay need, W by (start, org)
+        for (youth, need, svc, orgs, days), X in zip(need_info, x_blocks):
             starts = stay_starts(need, svc, orgs, days)
             if not starts:
                 continue
-            stays[(youth.id, need.service)] = (orgs, days, need.frequency_f, starts)
+            y, i = youth.id, need.service
+            first = lp.n_cols
             for s in orgs:
-                lp.w_cols[(youth.id, s, need.service)] = {
-                    t0: lp.add_col(
-                        "W", y=youth.id, s=s, i=need.service, t=t0,
-                        obj=0.0, lb=0.0, ub=1.0, integer=True,
-                    )
-                    for t0 in starts
-                }
+                cols = lp.add_cols("W", len(starts), y=y, s=s, i=i, t=starts, obj=0.0, lb=0.0,
+                                   ub=1.0, integer=True)
+                lp.w_cols[(y, s, i)] = dict(zip(starts, cols))
+            w_block = np.arange(first, lp.n_cols).reshape(len(orgs), len(starts)).T
+            stays[(y, i)] = (days, need.frequency_f, starts, X, w_block)
 
-        # (2a): per-day capacity on used triples; (2b) is E's upper bound.
-        x_by_triple = lp.x_by_triple = {t: [] for t in triples}
-        for (y, s, i), tmap in lp.x_cols.items():
-            for t, col in tmap.items():
-                x_by_triple[(s, i, t)].append(col)
-        for (s, i, t) in triples:
-            c = org_by_id[s].capacity(i, t)
-            cols = x_by_triple[(s, i, t)] + [lp.e_cols[(s, i, t)], lp.o_cols[(s, i, t)]]
-            vals = [1.0] * (len(cols) - 2) + [-1.0, -1.0]
-            lp.add_row(f"C2a_s{s}_i{i}_t{t}", "2a", SENSE_LE, float(c), cols, vals)
+        # (2a): per-day capacity on used triples, X columns then E and O;
+        # (2b) is E's upper bound.
+        sizes = np.diff(cuts)
+        ends = np.cumsum(sizes + 2)
+        cols = np.empty(order.size + 2 * len(triples), dtype=np.int64)
+        cols[np.arange(order.size) + 2 * np.repeat(np.arange(len(triples)), sizes)] = x_sorted
+        cols[ends - 2] = e_cols
+        cols[ends - 1] = o_cols
+        vals = np.ones(cols.size)
+        vals[ends - 2] = vals[ends - 1] = -1.0
+        lp.add_rows([f"C2a_s{s}_i{i}_t{t}" for (s, i, t) in triples], "2a", SENSE_LE, caps,
+                    sizes + 2, cols, vals)
 
         # (2c)/(2d)/(3b)/(4a)/(4b)/(4c): per-need scheduling structure.
-        for youth, need, svc, orgs, days in need_info:
+        for (youth, need, svc, orgs, days), X in zip(need_info, x_blocks):
             y, i = youth.id, need.service
-            a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
             ucols = [lp.u_cols[(y, s, i)] for s in orgs]
             if ucols:
-                lp.add_row(f"C2c_y{y}_i{i}", "2c", SENSE_LE, 1.0, ucols, [1.0] * len(ucols))
+                lp.add_rows([f"C2c_y{y}_i{i}"], "2c", SENSE_LE, [1.0], [len(ucols)], ucols,
+                            np.ones(len(ucols)))
             # A stay need's W rows imply its 2d, 3b and 4b rows.
-            if (y, i) in stays:
-                continue
-            all_x: list[int] = []
-            window_x: list[int] = []
-            day_cols: dict[int, list[int]] = {t: [] for t in days}
-            for s in orgs:
-                tmap = lp.x_cols[(y, s, i)]
-                xcols = [tmap[t] for t in sorted(tmap)]
-                lp.add_row(
-                    f"C2d_y{y}_s{s}_i{i}", "2d", SENSE_LE, 0.0,
-                    xcols + [lp.u_cols[(y, s, i)]],
-                    [1.0] * len(xcols) + [-float(T)],
-                )
-                all_x.extend(xcols)
-                for t, col in tmap.items():
-                    day_cols[t].append(col)
-                    if a <= t <= b:
-                        window_x.append(col)
-            lp.add_row(f"C3b_y{y}_i{i}", "3b", SENSE_GE, 1.0, window_x, [1.0] * len(window_x))
-
-            if not svc.periodic:
-                lp.add_row(
-                    f"C4a_y{y}_i{i}", "4a", SENSE_EQ, float(f), all_x, [1.0] * len(all_x)
-                )
-                continue
-
-            lp.add_row(f"C4b_y{y}_i{i}", "4b", SENSE_EQ, float(f), all_x, [1.0] * len(all_x))
-            if f < 2:
-                continue
-            omega, k = need.omega, svc.flexibility_k
-
-            # Maximum gap: an occurrence with no successor within omega + k
-            # days must be the last one (no occurrence after it at all).
-            day_list = days
-            day_arr = np.asarray(day_list)
-            for idx, t in enumerate(day_list):
-                later = day_arr[idx + 1 :]
-                next_days = later[later <= t + omega + k]
-                tail_days = later[later > t + omega + k]
-                if tail_days.size == 0:
-                    break
-                cols: list[int] = []
-                vals: list[float] = []
-                for tt in tail_days:
-                    for col in day_cols[int(tt)]:
-                        cols.append(col)
-                        vals.append(1.0)
-                for col in day_cols[t]:
-                    cols.append(col)
-                    vals.append(float(f))
-                for tt in next_days:
-                    for col in day_cols[int(tt)]:
-                        cols.append(col)
-                        vals.append(-float(f))
-                lp.add_row(f"C4bg_y{y}_i{i}_t{t}", "4b", SENSE_LE, float(f), cols, vals)
-
-            # Minimum gap: at most one occurrence per organization in any
-            # window of omega - k consecutive days (anchored at each day).
-            L = omega - k
-            if L >= 2:
-                for idx, t in enumerate(day_list):
-                    in_window = [tt for tt in day_list[idx:] if tt <= t + L - 1]
-                    if len(in_window) < 2:
-                        continue
-                    for s in orgs:
-                        tmap = lp.x_cols[(y, s, i)]
-                        cols = [tmap[tt] for tt in in_window if tt in tmap]
-                        if len(cols) < 2:
-                            continue
-                        lp.add_row(
-                            f"C4c_y{y}_s{s}_i{i}_t{t}", "4c", SENSE_LE, 1.0,
-                            cols, [1.0] * len(cols),
-                        )
+            if (y, i) not in stays:
+                self._need_rows(lp, y, i, need, svc, orgs, np.asarray(days, dtype=np.int64),
+                                X, ucols)
 
         # (4b)/(2d) for stay needs: X is a mixture of whole stays.
-        for (y, i), (orgs, days, f, starts) in stays.items():
-            wcols = [col for s in orgs for col in lp.w_cols[(y, s, i)].values()]
-            lp.add_row(f"C4bw_y{y}_i{i}", "4b", SENSE_EQ, 1.0, wcols, [1.0] * len(wcols))
-            for s in orgs:
-                tmap, wmap = lp.x_cols[(y, s, i)], lp.w_cols[(y, s, i)]
-                # Each X day equals the mass of the stays that cover it; days
-                # after the last start's stay get none.
-                for t in days:
-                    covering = [wmap[t0] for t0 in starts if t0 <= t <= t0 + f - 1]
-                    lp.add_row(
-                        f"C4bl_y{y}_s{s}_i{i}_t{t}", "4b", SENSE_EQ, 0.0,
-                        [tmap[t]] + covering, [1.0] + [-1.0] * len(covering),
-                    )
-                lp.add_row(
-                    f"C2dw_y{y}_s{s}_i{i}", "2d", SENSE_LE, 0.0,
-                    list(wmap.values()) + [lp.u_cols[(y, s, i)]],
-                    [1.0] * len(wmap) + [-1.0],
+        for (y, i), (days, f, starts, X, W) in stays.items():
+            orgs = lp.need_orgs[(y, i)]
+            lp.add_rows([f"C4bw_y{y}_i{i}"], "4b", SENSE_EQ, [1.0], [W.size], W.T.ravel(),
+                        np.ones(W.size))
+            # Each X day equals the mass of the stays that cover it; days
+            # after the last start's stay get none. Days and starts are
+            # runs of consecutive days, so row t holds X(t), then W(t0) for
+            # t0 from max(first start, t - f + 1) to min(last start, t).
+            d = np.asarray(days, dtype=np.int64)
+            lo = np.maximum(d - f + 1, starts[0])
+            covering = np.maximum(np.minimum(d, starts[-1]) - lo + 1, 0)
+            pos = _positions(covering + 1)
+            is_x = pos == 0
+            offset = np.where(is_x, np.repeat(np.arange(d.size), covering + 1),
+                              np.repeat(lo - starts[0], covering + 1) + pos - 1)
+            vals = np.where(is_x, 1.0, -1.0)
+            for o, s in enumerate(orgs):
+                lp.add_rows(
+                    [f"C4bl_y{y}_s{s}_i{i}_t{t}" for t in days], "4b", SENSE_EQ, [0.0] * d.size,
+                    covering + 1, offset + np.where(is_x, X[0, o], W[0, o]), vals,
+                )
+                lp.add_rows(
+                    [f"C2dw_y{y}_s{s}_i{i}"], "2d", SENSE_LE, [0.0], [W.shape[0] + 1],
+                    np.append(W[:, o], lp.u_cols[(y, s, i)]), np.append(np.ones(W.shape[0]), -1.0),
                 )
         return lp
+
+    @staticmethod
+    def _need_rows(lp: LinearProgram, y: int, i: int, need, svc, orgs: list[int], d: np.ndarray,
+                   X: np.ndarray, ucols: list[int]) -> None:
+        """The 2d, 3b, 4a or 4b, and gap rows of a need that is no stay.
+
+        ``d`` holds the need's days and ``X`` its (day, org) X columns.
+        """
+        T = lp.source_instance.horizon_T
+        a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
+        n_days, n_orgs = X.shape
+        if n_orgs:
+            lp.add_rows(
+                [f"C2d_y{y}_s{s}_i{i}" for s in orgs], "2d", SENSE_LE, [0.0] * n_orgs,
+                np.full(n_orgs, n_days + 1), np.vstack([X, ucols]).T.ravel(),
+                np.tile(np.append(np.ones(n_days), -float(T)), n_orgs),
+            )
+        window_x = X[(a <= d) & (d <= b)].T.ravel()
+        lp.add_rows([f"C3b_y{y}_i{i}"], "3b", SENSE_GE, [1.0], [window_x.size], window_x,
+                    np.ones(window_x.size))
+        all_x = X.T.ravel()
+        if not svc.periodic:
+            lp.add_rows([f"C4a_y{y}_i{i}"], "4a", SENSE_EQ, [float(f)], [all_x.size], all_x,
+                        np.ones(all_x.size))
+            return
+        lp.add_rows([f"C4b_y{y}_i{i}"], "4b", SENSE_EQ, [float(f)], [all_x.size], all_x,
+                    np.ones(all_x.size))
+        if f < 2:
+            return
+        omega, k = need.omega, svc.flexibility_k
+
+        # Maximum gap: an occurrence with no successor within omega + k
+        # days must be the last one (no occurrence after it at all). Row r
+        # covers days r.. of the need: the tail days from next[r] on at +1,
+        # day r at +f, and the days before next[r] at -f, in that order.
+        nxt = np.searchsorted(d, d + omega + k, side="right")
+        n_rows = int(np.count_nonzero(nxt < n_days))  # a row needs a tail day
+        r = np.arange(n_rows)
+        length = n_days - r
+        pos = _positions(length)
+        # The entry at pos is day first + (pos + skip) mod n: the rotation
+        # of days r.. that starts at next[r], n - skip of them tail days.
+        first, n = np.repeat(r, length), np.repeat(length, length)
+        skip = np.repeat(nxt[:n_rows] - r, length)
+        day = first + (pos + skip) % n
+        tail = n - skip
+        sign = np.where(pos < tail, 1.0, np.where(pos == tail, float(f), -float(f)))
+        lp.add_rows(
+            [f"C4bg_y{y}_i{i}_t{t}" for t in d[:n_rows].tolist()], "4b", SENSE_LE,
+            [float(f)] * n_rows, length * n_orgs, X[day].ravel(), np.repeat(sign, n_orgs),
+        )
+
+        # Minimum gap: at most one occurrence per organization in any
+        # window of omega - k consecutive days (anchored at each day) that
+        # holds two days or more.
+        L = omega - k
+        if L >= 2 and n_orgs:
+            width = np.searchsorted(d, d + L - 1, side="right") - np.arange(n_days)
+            at = np.flatnonzero(width >= 2)
+            counts = np.repeat(width[at], n_orgs)
+            lp.add_rows(
+                [f"C4c_y{y}_s{s}_i{i}_t{t}" for t in d[at].tolist() for s in orgs], "4c",
+                SENSE_LE, [1.0] * counts.size, counts,
+                np.repeat(X[at].ravel(), counts) + _positions(counts), np.ones(int(counts.sum())),
+            )
+
+
+def _positions(counts: np.ndarray) -> np.ndarray:
+    """Each entry's position within its row, for rows of these lengths."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 def build(instance: ProblemInstance) -> LinearProgram:
@@ -523,13 +618,17 @@ def _field(text: str, width: int) -> str:
     return text.ljust(width) if len(text) < width else text + " "
 
 
-def _distinct_texts(values: np.ndarray) -> tuple[list[str], list[int]]:
+def _distinct_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """Each distinct number formatted once: the texts and each value's index.
 
     Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
     """
     bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return [_fmt(v) for v in bits.view(np.float64).tolist()], index.tolist()
+    return [_fmt(v) for v in bits.view(np.float64).tolist()], index
+
+
+# Columns whose COLUMNS lines write_mps formats from one slice of Python lists.
+_MPS_SLICE = 4096
 
 
 def write_mps(lp: LinearProgram, path: str) -> None:
@@ -541,7 +640,8 @@ def write_mps(lp: LinearProgram, path: str) -> None:
     inside one INTORG/INTEND marker pair.
 
     A column's entries are its nonzero cost, then its matrix entries in
-    ascending row order, two to a line.
+    ascending row order, two to a line. The entries stay arrays; only one
+    slice of columns at a time becomes Python lists.
     """
     n, m = lp.n_cols, lp.n_rows
     col_fields = [_field(name, 10) for name in lp.column_names()]
@@ -550,17 +650,16 @@ def write_mps(lp: LinearProgram, path: str) -> None:
 
     # Cost entries first, so that a stable sort by column puts each cost
     # ahead of the column's matrix entries, which keep their row order.
+    tri_row, tri_col, tri_val = lp.nonzeros()
     obj = np.asarray(lp.obj, dtype=float)
     cost_cols = np.flatnonzero(obj != 0.0)
-    cols = np.concatenate([cost_cols, np.asarray(lp._tri_col, dtype=np.int64)])
-    rows = np.concatenate(
-        [np.full(cost_cols.size, m, dtype=np.int64), np.asarray(lp._tri_row, dtype=np.int64)]
-    )
-    vals = np.concatenate([obj[cost_cols], np.asarray(lp._tri_val, dtype=float)])
+    cols = np.concatenate([cost_cols.astype(np.int32), tri_col])
     order = np.argsort(cols, kind="stable")
     starts = np.searchsorted(cols[order], np.arange(n + 1)).tolist()
-    row_of = rows[order].tolist()
-    texts, text_of = _distinct_texts(vals[order])
+    del cols
+    row_of = np.concatenate([np.full(cost_cols.size, m, dtype=np.int32), tri_row])[order]
+    texts, text_of = _distinct_texts(np.concatenate([obj[cost_cols], tri_val])[order])
+    del order
     padded = [_field(text, 15) for text in texts]
 
     with open(path, "w", encoding="utf-8") as fh:
@@ -573,16 +672,21 @@ def write_mps(lp: LinearProgram, path: str) -> None:
             out(f" {tag}  {name}\n")
         out("COLUMNS\n")
         out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTORG'\n")
-        for col in range(n):
-            prefix = "    " + col_fields[col]
-            lo, hi = starts[col], starts[col + 1]
-            for j in range(lo, hi - 1, 2):
-                out(
-                    prefix + row_fields[row_of[j]] + padded[text_of[j]]
-                    + row_fields[row_of[j + 1]] + texts[text_of[j + 1]] + "\n"
-                )
-            if (hi - lo) % 2:
-                out(prefix + row_fields[row_of[hi - 1]] + texts[text_of[hi - 1]] + "\n")
+        for first in range(0, n, _MPS_SLICE):
+            last = min(first + _MPS_SLICE, n)
+            base = starts[first]
+            rows = row_of[base:starts[last]].tolist()
+            text_idx = text_of[base:starts[last]].tolist()
+            for col in range(first, last):
+                prefix = "    " + col_fields[col]
+                lo, hi = starts[col] - base, starts[col + 1] - base
+                for j in range(lo, hi - 1, 2):
+                    out(
+                        prefix + row_fields[rows[j]] + padded[text_idx[j]]
+                        + row_fields[rows[j + 1]] + texts[text_idx[j + 1]] + "\n"
+                    )
+                if (hi - lo) % 2:
+                    out(prefix + row_fields[rows[hi - 1]] + texts[text_idx[hi - 1]] + "\n")
         out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTEND'\n")
         out("RHS\n")
         for name, rhs in zip(row_fields, lp.rhs):
@@ -591,11 +695,15 @@ def write_mps(lp: LinearProgram, path: str) -> None:
         out("BOUNDS\n")
         bnd = _field("BND", 10)
         ub_texts, ub_text_of = _distinct_texts(np.asarray(lp.ub, dtype=float))
-        for col in range(n):
+        for col, text in enumerate(ub_text_of.tolist()):
             if lp.lb[col] != 0.0:
                 out(" LO " + bnd + col_fields[col] + _fmt(lp.lb[col]) + "\n")
-            out(" UI " + bnd + col_fields[col] + ub_texts[ub_text_of[col]] + "\n")
+            out(" UI " + bnd + col_fields[col] + ub_texts[text] + "\n")
         out("ENDATA\n")
+
+
+# Nonzeros that write_triplets formats from one slice of Python lists.
+_TRIPLET_SLICE = 65536
 
 
 def write_triplets(lp: LinearProgram, path: str) -> None:
@@ -610,6 +718,9 @@ def write_triplets(lp: LinearProgram, path: str) -> None:
             )
         for r in range(lp.n_rows):
             out(f"ROW {lp.row_names[r]} {lp.row_family[r]} {lp.row_sense[r]} {_fmt(lp.rhs[r])}\n")
-        for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
-            out(f"NZ {r} {c} {_fmt(v)}\n")
+        nonzeros = lp.nonzeros()
+        for first in range(0, lp.nnz, _TRIPLET_SLICE):
+            rows, cols, vals = (part[first:first + _TRIPLET_SLICE].tolist() for part in nonzeros)
+            for r, c, v in zip(rows, cols, vals):
+                out(f"NZ {r} {c} {_fmt(v)}\n")
         out("END\n")

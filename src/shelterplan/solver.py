@@ -45,6 +45,7 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -55,7 +56,7 @@ from .domain import (
     demographic_compatible,
     service_offered,
 )
-from .model import SENSE_EQ, SENSE_GE, LinearProgram, index_values
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearProgram, index_values
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -253,10 +254,16 @@ def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=
     raise SolverError(f"LP solve failed: {highs.modelStatusToString(status)}")
 
 
+# Sense codes in HiGHS row order: <= rows, then >= rows, then = rows.
+_SENSE_CODE = {SENSE_LE: 0, SENSE_GE: 1, SENSE_EQ: 2}
+
+
 def _triplets(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row, column and value of every nonzero of ``lp`` as arrays."""
-    return (np.asarray(lp._tri_row, dtype=np.int64), np.asarray(lp._tri_col, dtype=np.int64),
-            np.asarray(lp._tri_val, dtype=float))
+    """Row and column (int32) and value (float64) of every nonzero of ``lp``.
+
+    These are the model's own arrays (``LinearProgram.nonzeros``), not copies.
+    """
+    return lp.nonzeros()
 
 
 def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -264,38 +271,46 @@ def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.nda
     """The (cols, c, matrix) part of each block, and whether every row without columns holds.
 
     ``of_col`` gives each column's block, and a row belongs to the block of
-    its columns; ``rows``, ``cols`` and ``vals`` are the nonzeros. ``matrix``
-    holds the keywords of ``linprog`` other than the bounds, laid out as
-    ``scipy.optimize.linprog`` hands them to HiGHS: the ``<=`` rows, the
-    negated ``>=`` rows, then the ``=`` rows, each in model order; within a
-    column, entries by row, duplicates summed.
+    its columns; ``rows``, ``cols`` and ``vals`` are the nonzeros, as
+    ``_triplets`` gives them. ``matrix`` holds the keywords of ``linprog``
+    other than the bounds, laid out as ``scipy.optimize.linprog`` hands
+    them to HiGHS: the ``<=`` rows, the negated ``>=`` rows, then the ``=``
+    rows, each in model order; within a column, entries by row, duplicates
+    summed. The nonzeros are read in their own dtypes; only the sort key,
+    column rank times rows plus row rank, is int64.
     """
     m, n = lp.n_rows, lp.n_cols
-    sense = np.asarray(lp.row_sense)
+    sense = np.fromiter(map(_SENSE_CODE.__getitem__, lp.row_sense), dtype=np.int8, count=m)
     rhs = np.asarray(lp.rhs, dtype=float)
-    ge, eq = sense == SENSE_GE, sense == SENSE_EQ
+    ge, eq = sense == _SENSE_CODE[SENSE_GE], sense == _SENSE_CODE[SENSE_EQ]
     upper = np.where(ge, -rhs, rhs)
     lower = np.where(eq, rhs, -np.inf)
-    row_block = np.full(m, -1)
+    row_block = np.full(m, -1, dtype=of_col.dtype)
     row_block[rows] = of_col[cols]
     free = row_block < 0
     rows_hold = bool(np.all((lower[free] <= LP_TOLERANCE) & (upper[free] >= -LP_TOLERANCE)))
 
     # Rows and columns in HiGHS order: by block, rows then by sense.
-    row_order = np.lexsort((ge + 2 * eq, row_block))
+    row_order = np.lexsort((sense, row_block))
     col_order = np.argsort(of_col, kind="stable")
-    row_rank = np.empty(m, dtype=np.int64)
+    row_rank = np.empty(m, dtype=np.int32)
     row_rank[row_order] = np.arange(m)
     col_rank = np.empty(n, dtype=np.int64)
     col_rank[col_order] = np.arange(n)
-    key = col_rank[cols] * m + row_rank[rows]
+    key = col_rank[cols]
+    key *= m
+    key += row_rank[rows]
     nz = np.argsort(key, kind="stable")
-    key, vals = key[nz], np.where(ge[rows], -vals, vals)[nz]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    if first.size < key.size:
+    key = key[nz]
+    vals = vals[nz]
+    del nz
+    if key.size > 1 and np.any(key[1:] == key[:-1]):
+        first = np.flatnonzero(np.diff(key, prepend=-1))
         key, vals = key[first], np.add.reduceat(vals, first)
-    col_nz, row_nz = np.divmod(key, m)
-    start = np.searchsorted(col_nz, np.arange(n + 1))
+    # Column c's entries have keys in [c * m, (c + 1) * m); the rest is the row.
+    start = np.searchsorted(key, np.arange(n + 1) * m)
+    row_nz = np.remainder(key, m, out=key)
+    np.negative(vals, out=vals, where=ge[row_order][row_nz])
 
     obj = np.asarray(lp.obj, dtype=float)
     n_blocks = int(of_col.max(initial=-1)) + 1
@@ -305,9 +320,11 @@ def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.nda
     for b in range(n_blocks):
         (c0, c1), (r0, r1) = col_cut[b:b + 2], row_cut[b:b + 2]
         block_cols, block_rows = col_order[c0:c1], row_order[r0:r1]
+        index = row_nz[start[c0]:start[c1]].astype(np.int32)
+        index -= r0
         matrix = {
             "start": (start[c0:c1 + 1] - start[c0]).astype(np.int32),
-            "index": (row_nz[start[c0]:start[c1]] - r0).astype(np.int32),
+            "index": index,
             "value": vals[start[c0]:start[c1]],
             "row_lower": lower[block_rows],
             "row_upper": upper[block_rows],
@@ -328,11 +345,13 @@ class _ServiceBlocks:
     """
 
     def __init__(self, lp: LinearProgram):
-        _, service = np.unique([ref.i for ref in lp.col_refs], return_inverse=True)
+        services = np.fromiter(map(attrgetter("i"), lp.col_refs), dtype=np.int64, count=lp.n_cols)
+        service = np.unique(services, return_inverse=True)[1].astype(np.int32)
         rows, cols, vals = _triplets(lp)
-        row_svc = np.zeros(lp.n_rows, dtype=np.int64)
-        row_svc[rows] = service[cols]
-        if not np.array_equal(row_svc[rows], service[cols]):
+        # A row's nonzeros are adjacent, so a row spans two services where
+        # two neighbours of one row do.
+        nz_service = service[cols]
+        if np.any((nz_service[1:] != nz_service[:-1]) & (rows[1:] == rows[:-1])):
             service[:] = 0
         self.of_col = service
         self.parts, self.rows_hold = _split(lp, self.of_col, rows, cols, vals)
@@ -406,10 +425,11 @@ def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
 
 
 def values_from_vector(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
-    """Nonzero U/X/E/O values by name; W follows from X and is left out."""
+    """Nonzero U/X/E/O values by name, in column order; W follows from X and is left out."""
     values: dict[str, float] = {}
-    for ref, v in zip(lp.col_refs, x):
-        v = float(v)
+    cols = np.flatnonzero(x)
+    for col, v in zip(cols.tolist(), x[cols].tolist()):
+        ref = lp.col_refs[col]
         if abs(v) < 1e-9 or ref.kind == "W":
             continue
         values[ref.name] = float(round(v)) if abs(v - round(v)) < 1e-6 else v
@@ -417,16 +437,15 @@ def values_from_vector(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
 
 
 def decompose_objective(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
+    """Cost of the X, E and O columns of ``x``, summed in column order."""
     parts = {"assignment": 0.0, "expansion": 0.0, "overflow": 0.0}
-    for ref, coef, v in zip(lp.col_refs, lp.obj, x):
-        if coef == 0.0 or v == 0.0:
-            continue
-        if ref.kind == "X":
-            parts["assignment"] += coef * float(v)
-        elif ref.kind == "E":
-            parts["expansion"] += coef * float(v)
-        elif ref.kind == "O":
-            parts["overflow"] += coef * float(v)
+    part_of = {"X": "assignment", "E": "expansion", "O": "overflow"}
+    cols = np.flatnonzero(x)
+    for col, v in zip(cols.tolist(), x[cols].tolist()):
+        coef = lp.obj[col]
+        part = part_of.get(lp.col_refs[col].kind)
+        if coef != 0.0 and part is not None:
+            parts[part] += coef * v
     return parts
 
 
@@ -658,14 +677,16 @@ def _stays_from_lp(
 # ---------------------------------------------------------------------------
 
 
-def _select_branch_var(lp: LinearProgram, cols: np.ndarray, x: np.ndarray) -> int | None:
+def _select_branch_var(lp: LinearProgram, cols: np.ndarray, x: np.ndarray,
+                       integer: np.ndarray) -> int | None:
     """Pick the most fractional of ``cols`` at their values ``x``: U first, then X, then E/O.
 
-    Returns a position in ``cols``. W is integral wherever U and X are, so it
-    is never picked.
+    ``integer`` marks the integer ones of ``cols``; only they are picked.
+    Returns a position in ``cols``. W is integral wherever U and X are, so
+    it is never picked.
     """
     frac = np.abs(x - np.round(x))
-    is_frac = (np.asarray(lp.is_integer, dtype=bool)[cols] & (frac > INTEGRALITY_EPS)).nonzero()[0]
+    is_frac = (integer & (frac > INTEGRALITY_EPS)).nonzero()[0]
     best_j, best_rank = None, None
     for j in is_frac:
         kind = lp.col_refs[cols[j]].kind
@@ -704,6 +725,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     deadline = t_start + config.time_limit if config.time_limit is not None else None
     root_lb, root_ub = lp.bounds_arrays()
     int_mask = np.asarray(lp.is_integer, dtype=bool)
+    cost = np.asarray(lp.obj, dtype=float)
     blocks = _ServiceBlocks(lp)
     if not blocks.rows_hold:
         return _without_incumbent(STATUS_INFEASIBLE, math.inf, 0)
@@ -716,7 +738,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         nonlocal best_x, best_obj
         xr = np.array(x, dtype=float)
         xr[int_mask] = np.round(xr[int_mask])
-        obj = float(np.dot(lp.obj, xr))
+        obj = float(np.dot(cost, xr))
         if obj < best_obj - 1e-9:
             if inst is not None:
                 report = verify(inst, values_from_vector(lp, xr), claimed_objective=obj)
@@ -830,7 +852,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             heuristic_incumbent(with_block(cols, x))
             if closed(res.objective, b):
                 continue
-        j = _select_branch_var(lp, cols, x)
+        j = _select_branch_var(lp, cols, x, int_mask[cols])
         if j is None:
             if best_x is None:
                 found[b] = x

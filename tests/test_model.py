@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from shelterplan import datagen
+from shelterplan import datagen, solver
 from shelterplan.domain import (
     BED_SERVICE_ID,
     DemographicProfile,
@@ -12,7 +12,9 @@ from shelterplan.domain import (
     demographic_compatible,
     service_offered,
 )
-from shelterplan.model import build, parse_variable_name, reachable_days, write_mps, write_triplets
+from shelterplan.model import (
+    LinearProgram, build, parse_variable_name, reachable_days, write_mps, write_triplets,
+)
 from shelterplan.solver import (
     LP_OPTIMAL,
     STATUS_OPTIMAL,
@@ -441,6 +443,12 @@ class TestExports:
             datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=1)
         ))
 
+    def test_pinned_model_has_every_family(self, generated_lp):
+        # The digests below cover every row family the builder emits.
+        assert {name.split("_")[0] for name in generated_lp.row_names} == {
+            "C2a", "C2c", "C2d", "C3b", "C4a", "C4b", "C4bg", "C4c", "C4bw", "C4bl", "C2dw",
+        }
+
     def test_mps_digest_pinned(self, generated_lp, tmp_path):
         # The digest of the file for the model without the rows that E's
         # bounds and the W rows imply.
@@ -500,6 +508,81 @@ class TestExports:
         assert sum(1 for l in lines if l.startswith("VAR ")) == nvars
         assert sum(1 for l in lines if l.startswith("ROW ")) == nrows
         assert sum(1 for l in lines if l.startswith("NZ ")) == small_lp.nnz
+
+
+def row_by_row(lp):
+    """A copy of ``lp`` whose rows are added one ``add_row`` call each."""
+    copy = LinearProgram(lp.source_instance)
+    for ref, obj, lo, hi, integer in zip(lp.col_refs, lp.obj, lp.lb, lp.ub, lp.is_integer):
+        copy.add_col(ref.kind, y=ref.y, s=ref.s, i=ref.i, t=ref.t, obj=obj, lb=lo, ub=hi,
+                     integer=integer)
+    rows, cols, vals = solver._triplets(lp)
+    bounds = np.searchsorted(rows, np.arange(lp.n_rows + 1)).tolist()
+    for r in range(lp.n_rows):
+        lo, hi = bounds[r], bounds[r + 1]
+        copy.add_row(lp.row_names[r], lp.row_family[r], lp.row_sense[r], lp.rhs[r],
+                     cols[lo:hi].tolist(), vals[lo:hi].tolist())
+    return copy
+
+
+class TestStorage:
+    def mixed_lp(self):
+        """Two services' columns; single rows and bulk rows, with a read in between."""
+        lp = LinearProgram()
+        for j in range(6):
+            lp.add_col("X", y=1, s=1, i=1 + j // 3, t=1 + j % 3, obj=float(j - 3), lb=0.0,
+                       ub=1.0, integer=True)
+        lp.add_row("A", "2a", "<=", 2.0, [0, 2, 1], [1.0, 1.0, 1.0])
+        lp.add_rows(["B", "C", "D"], "4b", "=", [1.0, 0.0, 1.0], [2, 0, 3],
+                    np.array([3, 4, 5, 4, 3]), np.array([1.0, -1.0, 1.0, 2.0, 0.5]))
+        solver._triplets(lp)
+        lp.add_row("E", "3b", ">=", 1.0, [1, 0], [1.0, 1.0])
+        lp.add_rows(["F", "G"], "4c", "<=", [1.0, 1.0], [2, 1], [0, 1, 2], [1.0, 1.0, -1.0])
+        return lp
+
+    def assert_same(self, lp, other):
+        assert other.nnz == lp.nnz
+        for attr in ("row_names", "row_family", "row_sense", "rhs"):
+            assert getattr(other, attr) == getattr(lp, attr)
+        for ours, theirs in zip(solver._triplets(lp), solver._triplets(other)):
+            assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
+        blocks, other_blocks = solver._ServiceBlocks(lp), solver._ServiceBlocks(other)
+        assert np.array_equal(blocks.of_col, other_blocks.of_col)
+        assert blocks.rows_hold == other_blocks.rows_hold
+        assert len(blocks.parts) == len(other_blocks.parts)
+        for (cols, c, matrix), (cols2, c2, matrix2) in zip(blocks.parts, other_blocks.parts):
+            assert np.array_equal(cols, cols2) and np.array_equal(c, c2)
+            for key, value in matrix.items():
+                assert value.dtype == matrix2[key].dtype
+                assert np.array_equal(value, matrix2[key])
+
+    def test_triplets_are_typed_arrays(self):
+        rows, cols, vals = solver._triplets(self.mixed_lp())
+        assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, np.float64)
+        assert rows.tolist() == [0, 0, 0, 1, 1, 3, 3, 3, 4, 4, 5, 5, 6]
+        assert cols.tolist() == [0, 2, 1, 3, 4, 5, 4, 3, 1, 0, 0, 1, 2]
+        empty = solver._triplets(LinearProgram())
+        assert [part.dtype for part in empty] == [np.int32, np.int32, np.float64]
+        assert all(part.size == 0 for part in empty)
+
+    def test_bulk_rows_equal_single_rows(self):
+        lp = self.mixed_lp()
+        assert lp.n_rows == 7 and lp.nnz == 13
+        assert lp.row_names == list("ABCDEFG")
+        assert [len(part[0]) for part in solver._ServiceBlocks(lp).parts] == [3, 3]
+        self.assert_same(lp, row_by_row(lp))
+
+    def test_generated_model_equals_single_rows(self):
+        lp = build(datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1, seed=1)
+        ))
+        self.assert_same(lp, row_by_row(lp))
+
+    def test_row_lengths_must_match_entries(self):
+        lp = LinearProgram()
+        lp.add_col("X", y=1, s=1, i=1, t=1, obj=0.0, lb=0.0, ub=1.0, integer=True)
+        with pytest.raises(ValueError):
+            lp.add_rows(["A"], "2a", "<=", [1.0], [2], [0], [1.0])
 
 
 def read_mps(path):
