@@ -49,18 +49,24 @@ to [a, min(b + d, T)]; for a single-occurrence need just [a, b]; otherwise
 the full [a, min(b + d, T)]. W columns follow the O columns, and the W rows
 follow all other rows.
 
-The builder makes no Python object per nonzero. A need's X columns are
-consecutive (by organization, then day), so it emits each row family as
-arrays through ``LinearProgram.add_rows``: C2a in one call for all
-triples; per need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a rotation
-of the need's later days) and the C4c windows; per stay need C4bw, then
-C4bl and C2dw per organization. Row order, names and the order of each
-row's nonzeros are those of adding the rows one at a time.
+The builder makes no Python object per nonzero or per column. Two records
+index the column table by arithmetic. ``lp.needs[(y, i)]`` is a
+``NeedColumns(orgs, days, u, x, starts, w)``: for organization j (its
+position in ``orgs``), U is column u + j, X on days[p] is
+x + j*len(days) + p, and W starting on starts[q] is w + j*len(starts) + q;
+a stay's starts, like its days, are consecutive days. ``lp.triples`` is a
+``Triples(keys, x, start, e, o)`` of arrays: the used (s, i, t) sorted,
+the X columns of triple k in x[start[k]:start[k + 1]] (at least one), and
+its E and O columns e[k] and o[k]. So a need's X columns are consecutive,
+and the builder emits each row family as arrays through ``add_rows``: C2a
+in one call; per need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a
+rotation of the need's later days) and the C4c windows; per stay need
+C4bw, then C4bl and C2dw per organization. Row order, names and the order
+of each row's nonzeros are those of adding the rows one at a time.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -80,31 +86,21 @@ SENSE_EQ = "="
 KEY_FIELDS = {"U": "ysi", "X": "ysit", "E": "sit", "O": "sit"}
 
 
-class VariableRef(NamedTuple):
-    """One column of the matrix with its semantic index tuple."""
-
-    kind: str
-    y: int | None
-    s: int
-    i: int
-    t: int | None
-    col: int
-
-    @property
-    def name(self) -> str:
-        if self.kind == "U":
-            return f"U_y{self.y}_s{self.s}_i{self.i}"
-        if self.y is not None:
-            return f"{self.kind}_y{self.y}_s{self.s}_i{self.i}_t{self.t}"
-        return f"{self.kind}_s{self.s}_i{self.i}_t{self.t}"
+def column_name(kind: str, y: int | None, s: int, i: int, t: int | None) -> str:
+    """The name of a column: its kind, then the index letters it has with their values."""
+    if y is None:
+        return f"{kind}_s{s}_i{i}_t{t}"
+    if t is None:
+        return f"{kind}_y{y}_s{s}_i{i}"
+    return f"{kind}_y{y}_s{s}_i{i}_t{t}"
 
 
 def parse_variable_name(name: str) -> tuple[str, dict[str, int]]:
-    """Inverse of VariableRef.name: kind plus index dict."""
+    """Inverse of column_name: kind plus index dict; ValueError for a part without a number."""
     kind, _, rest = name.partition("_")
     indices: dict[str, int] = {}
     for part in rest.split("_"):
-        indices[part[0]] = int(part[1:])
+        indices[part[:1]] = int(part[1:])
     return kind, indices
 
 
@@ -122,6 +118,29 @@ def index_values(values: Mapping[str, float]) -> dict[str, dict[tuple[int, ...],
     return tables
 
 
+class NeedColumns(NamedTuple):
+    """The U, X and W columns of one (youth, service) need, laid out as the
+    module docstring says; ``starts`` is empty unless the need is a stay."""
+
+    orgs: list[int]
+    days: list[int]
+    u: int
+    x: int
+    starts: list[int]
+    w: int
+
+
+class Triples(NamedTuple):
+    """The used (s, i, t) triples as arrays, laid out as the module docstring
+    says; ``keys`` is (n, 3)."""
+
+    keys: np.ndarray
+    x: np.ndarray
+    start: np.ndarray
+    e: np.ndarray
+    o: np.ndarray
+
+
 # Nonzeros after which add_rows merges its latest chunks into one.
 _MERGE_NNZ = 1 << 20
 
@@ -129,16 +148,23 @@ _MERGE_NNZ = 1 << 20
 class LinearProgram:
     """Annotated sparse model: objective, rows, bounds, integrality.
 
-    Columns and the per-row name, family, sense and rhs are lists. The
-    nonzeros are typed arrays (int32 rows and columns, float64 values),
-    appended one chunk per ``add_rows`` call and joined on the first read
-    after it (``nonzeros``). ``add_row`` appends a one-row chunk, so a
-    hand-built LP and a generated one share the same storage.
+    The columns are a table of lists: kind, index values y, s, i and t
+    (None where a kind has none), cost, bounds and integrality; so are the
+    per-row name, family, sense and rhs. The nonzeros are typed arrays
+    (int32 rows and columns, float64 values), appended one chunk per
+    ``add_rows`` call and joined on the first read after it
+    (``nonzeros``). ``add_row`` appends a one-row chunk, so a hand-built LP
+    and a generated one share the same storage. Only a built model fills
+    ``needs`` and ``triples`` (see the module docstring).
     """
 
     def __init__(self, instance: ProblemInstance | None = None):
         self.source_instance = instance
-        self.col_refs: list[VariableRef] = []
+        self.col_kind: list[str] = []
+        self.col_y: list[int | None] = []
+        self.col_s: list[int] = []
+        self.col_i: list[int] = []
+        self.col_t: list[int | None] = []
         self.obj: list[float] = []
         self.lb: list[float] = []
         self.ub: list[float] = []
@@ -153,34 +179,11 @@ class LinearProgram:
         self._fresh = 0
         self._fresh_nnz = 0
         self._nnz = 0
-        # Structured lookups used by the solver heuristic and reporting.
-        self.u_cols: dict[tuple[int, int, int], int] = {}
-        self.x_cols: dict[tuple[int, int, int], dict[int, int]] = {}
-        self.e_cols: dict[tuple[int, int, int], int] = {}
-        self.o_cols: dict[tuple[int, int, int], int] = {}
-        # W columns of each stay need's (y, s, i), by start day.
-        self.w_cols: dict[tuple[int, int, int], dict[int, int]] = {}
-        # X columns of each (s, i, t), the load that its E/O columns cover.
-        self.x_by_triple: dict[tuple[int, int, int], list[int]] = {}
-        self.need_orgs: dict[tuple[int, int], list[int]] = {}
+        self.needs: dict[tuple[int, int], NeedColumns] = {}
+        none = np.empty(0, dtype=np.int64)
+        self.triples = Triples(none.reshape(0, 3), none, np.zeros(1, dtype=np.int64), none, none)
 
     # -- construction ------------------------------------------------------
-
-    def add_col(
-        self,
-        kind: str,
-        *,
-        y: int | None,
-        s: int,
-        i: int,
-        t: int | None,
-        obj: float,
-        lb: float,
-        ub: float,
-        integer: bool,
-    ) -> int:
-        return self.add_cols(kind, 1, y=y, s=s, i=i, t=t, obj=obj, lb=lb, ub=ub,
-                             integer=integer)[0]
 
     def add_cols(self, kind: str, count: int, *, y, s, i, t, obj, lb, ub, integer: bool) -> range:
         """``count`` columns of one kind; their indices.
@@ -188,17 +191,13 @@ class LinearProgram:
         Each of ``y``, ``s``, ``i``, ``t``, ``obj``, ``lb`` and ``ub`` is a
         list with one value per column, or one value for all of them.
         """
-        first = len(self.col_refs)
-        fields = [v if isinstance(v, list) else repeat(v, count) for v in (y, s, i, t)]
-        cols = range(first, first + count)
-        # tuple.__new__ is what VariableRef(...) calls, minus a Python frame.
-        self.col_refs.extend(
-            map(tuple.__new__, repeat(VariableRef), zip(repeat(kind), *fields, cols))
-        )
-        for values, given in ((self.obj, obj), (self.lb, lb), (self.ub, ub)):
+        first = len(self.col_kind)
+        self.col_kind.extend([kind] * count)
+        for values, given in ((self.col_y, y), (self.col_s, s), (self.col_i, i), (self.col_t, t),
+                              (self.obj, obj), (self.lb, lb), (self.ub, ub)):
             values.extend(given if isinstance(given, list) else [given] * count)
         self.is_integer.extend([integer] * count)
-        return cols
+        return range(first, first + count)
 
     def add_rows(
         self,
@@ -255,16 +254,11 @@ class LinearProgram:
         rows, cols, vals = (chunks[0] for chunks in self._chunks)
         return rows, cols, vals
 
-    # The nonzeros by part, as the writers' tests read them.
-    _tri_row = property(lambda self: self.nonzeros()[0])
-    _tri_col = property(lambda self: self.nonzeros()[1])
-    _tri_val = property(lambda self: self.nonzeros()[2])
-
     # -- properties --------------------------------------------------------
 
     @property
     def n_cols(self) -> int:
-        return len(self.col_refs)
+        return len(self.col_kind)
 
     @property
     def n_rows(self) -> int:
@@ -282,12 +276,17 @@ class LinearProgram:
 
     def counts_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}
-        for ref in self.col_refs:
-            counts[ref.kind] = counts.get(ref.kind, 0) + 1
+        for kind in self.col_kind:
+            counts[kind] = counts.get(kind, 0) + 1
         return counts
 
+    def column_name(self, col: int) -> str:
+        return column_name(self.col_kind[col], self.col_y[col], self.col_s[col], self.col_i[col],
+                           self.col_t[col])
+
     def column_names(self) -> list[str]:
-        return [ref.name for ref in self.col_refs]
+        return list(map(column_name, self.col_kind, self.col_y, self.col_s, self.col_i,
+                        self.col_t))
 
     # -- scipy matrices -----------------------------------------------------
 
@@ -406,74 +405,65 @@ class ModelBuilder:
                 orgs = self.admissible_orgs(youth, need)
                 days = reachable_days(need, T, svc.periodic, svc.flexibility_k)
                 need_info.append((youth, need, svc, orgs, days))
-                lp.need_orgs[(youth.id, need.service)] = orgs
 
-        for youth, need, svc, orgs, days in need_info:
-            y, i = youth.id, need.service
-            cols = lp.add_cols("U", len(orgs), y=y, s=orgs, i=i, t=None, obj=0.0, lb=0.0,
-                               ub=1.0, integer=True)
-            lp.u_cols.update(zip([(y, s, i) for s in orgs], cols))
+        u_first = [
+            lp.add_cols("U", len(orgs), y=youth.id, s=orgs, i=need.service, t=None, obj=0.0,
+                        lb=0.0, ub=1.0, integer=True).start
+            for youth, need, svc, orgs, days in need_info
+        ]
 
-        # A need's X columns are consecutive, by organization and then by
-        # day; x_blocks holds each need's as a (day, org) array.
-        x_blocks = []
-        x_keys: tuple[list[int], list[int], list[int]] = ([], [], [])  # s, i, t of each
-        x_first = lp.n_cols
+        # A need's X columns are consecutive, by organization and then by day.
+        x_first = []
+        n_u = lp.n_cols
         for youth, need, svc, orgs, days in need_info:
-            y, i = youth.id, need.service
-            first = lp.n_cols
+            i = need.service
+            x_first.append(lp.n_cols)
             for s in orgs:
-                cols = lp.add_cols("X", len(days), y=y, s=s, i=i, t=days,
-                                   obj=org_by_id[s].cost_assign_r.get(i, 0.0), lb=0.0, ub=1.0,
-                                   integer=True)
-                lp.x_cols[(y, s, i)] = dict(zip(days, cols))
-                x_keys[0].extend([s] * len(days))
-                x_keys[1].extend([i] * len(days))
-                x_keys[2].extend(days)
-            x_blocks.append(np.arange(first, lp.n_cols).reshape(len(orgs), len(days)).T)
+                lp.add_cols("X", len(days), y=youth.id, s=s, i=i, t=days,
+                            obj=org_by_id[s].cost_assign_r.get(i, 0.0), lb=0.0, ub=1.0,
+                            integer=True)
 
         # Used (s, i, t) triples in sorted order, each with its X columns.
-        s_of, i_of, t_of = (np.asarray(keys, dtype=np.int64) for keys in x_keys)
+        s_of, i_of, t_of = (np.asarray(field[n_u:], dtype=np.int64)
+                            for field in (lp.col_s, lp.col_i, lp.col_t))
         order = np.lexsort((t_of, i_of, s_of))
         s_of, i_of, t_of = s_of[order], i_of[order], t_of[order]
         new = np.ones(order.size, dtype=bool)
         new[1:] = (np.diff(s_of) != 0) | (np.diff(i_of) != 0) | (np.diff(t_of) != 0)
         heads = np.flatnonzero(new)
-        keys = {"s": s_of[heads].tolist(), "i": i_of[heads].tolist(), "t": t_of[heads].tolist()}
-        triples = list(zip(keys["s"], keys["i"], keys["t"]))
-        x_sorted = order + x_first
+        keys = np.column_stack((s_of[heads], i_of[heads], t_of[heads]))
+        triples = keys.tolist()
+        x_sorted = order + n_u
         cuts = np.append(heads, order.size)
-        x_list, bounds = x_sorted.tolist(), cuts.tolist()
-        lp.x_by_triple = {triple: x_list[lo:hi] for triple, lo, hi in zip(triples, bounds, bounds[1:])}
 
         caps = [float(org_by_id[s].capacity(i, t)) for (s, i, t) in triples]
-        e_cols = lp.add_cols(
-            "E", len(triples), y=None, **keys,
+        fields = dict(zip("sit", keys.T.tolist()))
+        e = lp.add_cols(
+            "E", len(triples), y=None, **fields,
             obj=[org_by_id[s].cost_expand_gamma.get(i, 0.0) for (s, i, t) in triples],
             lb=0.0, ub=[float(org_by_id[s].headroom(i) - c) for (s, i, t), c in zip(triples, caps)],
             integer=True,
         )
-        o_cols = lp.add_cols(
-            "O", len(triples), y=None, **keys,
+        o = lp.add_cols(
+            "O", len(triples), y=None, **fields,
             obj=[org_by_id[s].cost_overflow_lambda.get(i, 0.0) for (s, i, t) in triples],
             lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
         )
-        lp.e_cols = dict(zip(triples, e_cols))
-        lp.o_cols = dict(zip(triples, o_cols))
+        lp.triples = Triples(keys, x_sorted, cuts, np.arange(e.start, e.stop),
+                             np.arange(o.start, o.stop))
 
-        stays = {}  # (y, i) -> (days, f, starts, X, W) of each stay need, W by (start, org)
-        for (youth, need, svc, orgs, days), X in zip(need_info, x_blocks):
-            starts = stay_starts(need, svc, orgs, days)
-            if not starts:
-                continue
+        # W columns of each stay need, by organization and then by start.
+        records = []
+        for (youth, need, svc, orgs, days), u, x in zip(need_info, u_first, x_first):
             y, i = youth.id, need.service
-            first = lp.n_cols
-            for s in orgs:
-                cols = lp.add_cols("W", len(starts), y=y, s=s, i=i, t=starts, obj=0.0, lb=0.0,
-                                   ub=1.0, integer=True)
-                lp.w_cols[(y, s, i)] = dict(zip(starts, cols))
-            w_block = np.arange(first, lp.n_cols).reshape(len(orgs), len(starts)).T
-            stays[(y, i)] = (days, need.frequency_f, starts, X, w_block)
+            starts = stay_starts(need, svc, orgs, days)
+            records.append(NeedColumns(orgs, days, u, x, starts, lp.n_cols))
+            if starts:
+                for s in orgs:
+                    lp.add_cols("W", len(starts), y=y, s=s, i=i, t=starts, obj=0.0, lb=0.0,
+                                ub=1.0, integer=True)
+        lp.needs = {(youth.id, need.service): rec
+                    for (youth, need, *_), rec in zip(need_info, records)}
 
         # (2a): per-day capacity on used triples, X columns then E and O;
         # (2b) is E's upper bound.
@@ -481,28 +471,31 @@ class ModelBuilder:
         ends = np.cumsum(sizes + 2)
         cols = np.empty(order.size + 2 * len(triples), dtype=np.int64)
         cols[np.arange(order.size) + 2 * np.repeat(np.arange(len(triples)), sizes)] = x_sorted
-        cols[ends - 2] = e_cols
-        cols[ends - 1] = o_cols
+        cols[ends - 2] = lp.triples.e
+        cols[ends - 1] = lp.triples.o
         vals = np.ones(cols.size)
         vals[ends - 2] = vals[ends - 1] = -1.0
         lp.add_rows([f"C2a_s{s}_i{i}_t{t}" for (s, i, t) in triples], "2a", SENSE_LE, caps,
                     sizes + 2, cols, vals)
 
         # (2c)/(2d)/(3b)/(4a)/(4b)/(4c): per-need scheduling structure.
-        for (youth, need, svc, orgs, days), X in zip(need_info, x_blocks):
+        for (youth, need, svc, orgs, days), rec in zip(need_info, records):
             y, i = youth.id, need.service
-            ucols = [lp.u_cols[(y, s, i)] for s in orgs]
+            ucols = list(range(rec.u, rec.u + len(orgs)))
             if ucols:
                 lp.add_rows([f"C2c_y{y}_i{i}"], "2c", SENSE_LE, [1.0], [len(ucols)], ucols,
                             np.ones(len(ucols)))
             # A stay need's W rows imply its 2d, 3b and 4b rows.
-            if (y, i) not in stays:
+            if not rec.starts:
                 self._need_rows(lp, y, i, need, svc, orgs, np.asarray(days, dtype=np.int64),
-                                X, ucols)
+                                _by_org(rec.x, len(orgs), len(days)), ucols)
 
         # (4b)/(2d) for stay needs: X is a mixture of whole stays.
-        for (y, i), (days, f, starts, X, W) in stays.items():
-            orgs = lp.need_orgs[(y, i)]
+        for (youth, need, svc, orgs, days), rec in zip(need_info, records):
+            if not rec.starts:
+                continue
+            y, i, f, starts = youth.id, need.service, need.frequency_f, rec.starts
+            X, W = _by_org(rec.x, len(orgs), len(days)), _by_org(rec.w, len(orgs), len(starts))
             lp.add_rows([f"C4bw_y{y}_i{i}"], "4b", SENSE_EQ, [1.0], [W.size], W.T.ravel(),
                         np.ones(W.size))
             # Each X day equals the mass of the stays that cover it; days
@@ -524,7 +517,7 @@ class ModelBuilder:
                 )
                 lp.add_rows(
                     [f"C2dw_y{y}_s{s}_i{i}"], "2d", SENSE_LE, [0.0], [W.shape[0] + 1],
-                    np.append(W[:, o], lp.u_cols[(y, s, i)]), np.append(np.ones(W.shape[0]), -1.0),
+                    np.append(W[:, o], rec.u + o), np.append(np.ones(W.shape[0]), -1.0),
                 )
         return lp
 
@@ -592,6 +585,11 @@ class ModelBuilder:
                 SENSE_LE, [1.0] * counts.size, counts,
                 np.repeat(X[at].ravel(), counts) + _positions(counts), np.ones(int(counts.sum())),
             )
+
+
+def _by_org(first: int, n_orgs: int, n: int) -> np.ndarray:
+    """A need's ``n_orgs * n`` columns from ``first`` on, org-major, as an (n, org) array."""
+    return np.arange(first, first + n_orgs * n).reshape(n_orgs, n).T
 
 
 def _positions(counts: np.ndarray) -> np.ndarray:
@@ -711,9 +709,9 @@ def write_triplets(lp: LinearProgram, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         out = fh.write
         out(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {lp.n_cols}\nNROWS {lp.n_rows}\n")
-        for col, ref in enumerate(lp.col_refs):
+        for col, name in enumerate(lp.column_names()):
             out(
-                f"VAR {ref.name} {_fmt(lp.lb[col])} {_fmt(lp.ub[col])} "
+                f"VAR {name} {_fmt(lp.lb[col])} {_fmt(lp.ub[col])} "
                 f"{1 if lp.is_integer[col] else 0} {_fmt(lp.obj[col])}\n"
             )
         for r in range(lp.n_rows):

@@ -45,7 +45,6 @@ import sys
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -56,7 +55,8 @@ from .domain import (
     demographic_compatible,
     service_offered,
 )
-from .model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearProgram, index_values
+from .model import (KEY_FIELDS, SENSE_EQ, SENSE_GE, SENSE_LE, LinearProgram, column_name,
+                    index_values, parse_variable_name)
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -134,8 +134,17 @@ class Solution:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "Solution":
+        """The solution of a parsed file; ValueError for a name no U, X, E or O column has."""
+        values = {name: float(v) for name, v in dict(doc["values"]).items()}
+        for name in values:
+            kind, idx = parse_variable_name(name)
+            fields = KEY_FIELDS.get(kind)
+            if fields is None or sorted(idx) != sorted(fields) or (
+                column_name(kind, *map(idx.get, "ysit")) != name
+            ):
+                raise ValueError(f"malformed variable name {name!r}")
         return cls(
-            values={name: float(v) for name, v in dict(doc["values"]).items()},
+            values=values,
             objective=float(doc["objective"]),
             bound=float(doc["bound"]),
             gap=float(doc["gap"]),
@@ -258,25 +267,17 @@ def linprog(c, *, start, index, value, row_lower, row_upper, lb, ub, time_limit=
 _SENSE_CODE = {SENSE_LE: 0, SENSE_GE: 1, SENSE_EQ: 2}
 
 
-def _triplets(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row and column (int32) and value (float64) of every nonzero of ``lp``.
-
-    These are the model's own arrays (``LinearProgram.nonzeros``), not copies.
-    """
-    return lp.nonzeros()
-
-
 def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.ndarray,
            vals: np.ndarray) -> tuple[list[tuple], bool]:
     """The (cols, c, matrix) part of each block, and whether every row without columns holds.
 
     ``of_col`` gives each column's block, and a row belongs to the block of
     its columns; ``rows``, ``cols`` and ``vals`` are the nonzeros, as
-    ``_triplets`` gives them. ``matrix`` holds the keywords of ``linprog``
-    other than the bounds, laid out as ``scipy.optimize.linprog`` hands
-    them to HiGHS: the ``<=`` rows, the negated ``>=`` rows, then the ``=``
-    rows, each in model order; within a column, entries by row, duplicates
-    summed. The nonzeros are read in their own dtypes; only the sort key,
+    ``LinearProgram.nonzeros`` gives them. ``matrix`` holds the keywords of
+    ``linprog`` other than the bounds, laid out as ``scipy.optimize.linprog``
+    hands them to HiGHS: the ``<=`` rows, the negated ``>=`` rows, then the
+    ``=`` rows, each in model order; within a column, entries by row,
+    duplicates summed. The nonzeros are read in their own dtypes; only the sort key,
     column rank times rows plus row rank, is int64.
     """
     m, n = lp.n_rows, lp.n_cols
@@ -336,18 +337,19 @@ def _split(lp: LinearProgram, of_col: np.ndarray, rows: np.ndarray, cols: np.nda
 class _ServiceBlocks:
     """The columns and rows of an LP grouped into blocks that share no row.
 
-    A block is one service (``VariableRef.i``), numbered in service order,
-    and each row belongs to the block of its columns. A generated model has
-    no row that spans two services; an LP with such a row (only hand-built
-    ones have it) is one block, which keeps the split exact. Every block's
-    part of the LP is cut here (``_split``). A row without columns belongs
-    to no block; ``rows_hold`` says whether all such rows hold.
+    A block is one service (``LinearProgram.col_i``), numbered in service
+    order, and each row belongs to the block of its columns. A generated
+    model has no row that spans two services; an LP with such a row (only
+    hand-built ones have it) is one block, which keeps the split exact.
+    Every block's part of the LP is cut here (``_split``). A row without
+    columns belongs to no block; ``rows_hold`` says whether all such rows
+    hold.
     """
 
     def __init__(self, lp: LinearProgram):
-        services = np.fromiter(map(attrgetter("i"), lp.col_refs), dtype=np.int64, count=lp.n_cols)
+        services = np.asarray(lp.col_i, dtype=np.int64)
         service = np.unique(services, return_inverse=True)[1].astype(np.int32)
-        rows, cols, vals = _triplets(lp)
+        rows, cols, vals = lp.nonzeros()
         # A row's nonzeros are adjacent, so a row spans two services where
         # two neighbours of one row do.
         nz_service = service[cols]
@@ -393,34 +395,30 @@ def _split_table(org: OrganizationProfile, i: int, horizon: int) -> tuple[list[i
 def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """Copy of ``x`` whose E/O values are the cheapest split of each assigned load.
 
-    ``cheapest_split``'s rule over all (org, service, day) triples at once:
-    each triple's load is the sum of its X columns, which is exact because
-    X is 0/1 wherever an incumbent is repaired. The index over the triples
-    is built on every call, so it always matches the model.
+    ``cheapest_split``'s rule over all (org, service, day) triples at once
+    (``lp.triples``): each triple's load is the sum of its X columns, which
+    is exact because X is 0/1 wherever an incumbent is repaired.
     """
     out = x.copy()
-    triples = list(lp.x_by_triple)
-    if not triples:
+    triples = lp.triples
+    if not len(triples.keys):
         return out
     inst = lp.source_instance
     org_by_id = {o.id: o for o in inst.organizations}
     tables: dict[tuple[int, int], tuple[list[int], float]] = {}
     cap, top = [], []
-    for s, i, t in triples:
+    for s, i, t in triples.keys.tolist():
         table = tables.get((s, i))
         if table is None:
             table = tables[(s, i)] = _split_table(org_by_id[s], i, inst.horizon_T)
         cap.append(table[0][t])
         top.append(table[1])
-    sizes = [len(cols) for cols in lp.x_by_triple.values()]
-    cols = np.fromiter(itertools.chain.from_iterable(lp.x_by_triple.values()), dtype=np.int64,
-                       count=sum(sizes))
-    load = np.rint(np.add.reduceat(out[cols], np.cumsum([0] + sizes[:-1])))
+    load = np.rint(np.add.reduceat(out[triples.x], triples.start[:-1]))
     cap = np.array(cap, dtype=float)
     over = np.maximum(load - cap, 0.0)
     e = np.clip(np.array(top, dtype=float) - cap, 0.0, over)
-    out[np.fromiter(map(lp.e_cols.__getitem__, triples), dtype=np.int64)] = e
-    out[np.fromiter(map(lp.o_cols.__getitem__, triples), dtype=np.int64)] = over - e
+    out[triples.e] = e
+    out[triples.o] = over - e
     return out
 
 
@@ -429,10 +427,9 @@ def values_from_vector(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     values: dict[str, float] = {}
     cols = np.flatnonzero(x)
     for col, v in zip(cols.tolist(), x[cols].tolist()):
-        ref = lp.col_refs[col]
-        if abs(v) < 1e-9 or ref.kind == "W":
+        if abs(v) < 1e-9 or lp.col_kind[col] == "W":
             continue
-        values[ref.name] = float(round(v)) if abs(v - round(v)) < 1e-6 else v
+        values[lp.column_name(col)] = float(round(v)) if abs(v - round(v)) < 1e-6 else v
     return values
 
 
@@ -443,7 +440,7 @@ def decompose_objective(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
     cols = np.flatnonzero(x)
     for col, v in zip(cols.tolist(), x[cols].tolist()):
         coef = lp.obj[col]
-        part = part_of.get(lp.col_refs[col].kind)
+        part = part_of.get(lp.col_kind[col])
         if coef != 0.0 and part is not None:
             parts[part] += coef * v
     return parts
@@ -600,28 +597,26 @@ def schedule_heuristic(
             chosen[key] = (s, days)
             tracker.commit(s, key[1], days, sign=1)
 
-    # Once per call: each need's gaps, and each (y, s, i) domain's days sorted.
+    # Once per call: each need's gaps, columns, and position of each X day.
     needs = []
     for youth in inst.youths:
         for need in youth.needs:
             svc, omega = catalog.get(need.service), need.omega
             k = svc.flexibility_k
             gaps = (max(omega - k, 1), omega + k) if svc.periodic else (1, inst.horizon_T)
-            needs.append((youth, need, gaps))
-    domains = {key: dict.fromkeys(sorted(tmap)) for key, tmap in lp.x_cols.items()}
+            rec = lp.needs[(youth.id, need.service)]
+            needs.append((youth, need, gaps, rec, {t: p for p, t in enumerate(rec.days)}))
 
     for pass_no in range(passes):
         changed = False
-        for youth, need, gaps in needs:
+        for youth, need, gaps, rec, position in needs:
             key = (youth.id, need.service)
             if key in chosen:
                 s_old, days_old = chosen[key]
                 tracker.commit(s_old, need.service, days_old, sign=-1)
             best = None
-            for s in lp.need_orgs[key]:
-                res = _greedy_schedule(
-                    tracker, s, need.service, need, gaps, domains[(youth.id, s, need.service)]
-                )
+            for s in rec.orgs:
+                res = _greedy_schedule(tracker, s, need.service, need, gaps, position)
                 if res is None:
                     continue
                 cost, days = res
@@ -642,14 +637,14 @@ def schedule_heuristic(
             break
 
     x = np.zeros(lp.n_cols)
-    for (y, i), (s, days) in chosen.items():
-        x[lp.u_cols[(y, s, i)]] = 1.0
-        tmap = lp.x_cols[(y, s, i)]
-        for t in days:
-            x[tmap[t]] = 1.0
-        wmap = lp.w_cols.get((y, s, i))
-        if wmap:
-            x[wmap[days[0]]] = 1.0
+    for youth, need, gaps, rec, position in needs:
+        s, days = chosen[(youth.id, need.service)]
+        j = rec.orgs.index(s)
+        x[rec.u + j] = 1.0
+        x[[rec.x + j * len(rec.days) + position[t] for t in days]] = 1.0
+        if rec.starts:
+            # Starts are consecutive days.
+            x[rec.w + j * len(rec.starts) + days[0] - rec.starts[0]] = 1.0
     return repair_expansion(lp, x)
 
 
@@ -661,13 +656,14 @@ def _stays_from_lp(
     for youth in lp.source_instance.youths:
         for need in youth.needs:
             i = need.service
-            entries = [
-                (s, t0, col)
-                for s in lp.need_orgs[(youth.id, i)]
-                for t0, col in lp.w_cols.get((youth.id, s, i), {}).items()
-            ]
-            if entries:
-                s, t0, _ = max(entries, key=lambda e: (x[e[2]], -e[0], -e[1]))
+            rec = lp.needs[(youth.id, i)]
+            n = len(rec.starts)
+            if n:
+                s, t0, _ = max(
+                    ((s, t0, rec.w + j * n + q)
+                     for j, s in enumerate(rec.orgs) for q, t0 in enumerate(rec.starts)),
+                    key=lambda e: (x[e[2]], -e[0], -e[1]),
+                )
                 initial[(youth.id, i)] = (s, tuple(range(t0, t0 + need.frequency_f)))
     return initial
 
@@ -689,7 +685,7 @@ def _select_branch_var(lp: LinearProgram, cols: np.ndarray, x: np.ndarray,
     is_frac = (integer & (frac > INTEGRALITY_EPS)).nonzero()[0]
     best_j, best_rank = None, None
     for j in is_frac:
-        kind = lp.col_refs[cols[j]].kind
+        kind = lp.col_kind[cols[j]]
         tier = 0 if kind == "U" else (1 if kind == "X" else 2)
         rank = (tier, abs(frac[j] - 0.5), j)
         if best_rank is None or rank < best_rank:
@@ -1207,19 +1203,19 @@ def brute_force(
     values: dict[str, float] = {}
     loads_all: dict[tuple[int, int, int], int] = {}
     for (y, i), (s, days) in chosen.items():
-        values[f"U_y{y}_s{s}_i{i}"] = 1.0
+        values[column_name("U", y, s, i, None)] = 1.0
         for t in days:
-            values[f"X_y{y}_s{s}_i{i}_t{t}"] = 1.0
+            values[column_name("X", y, s, i, t)] = 1.0
             loads_all[(s, i, t)] = loads_all.get((s, i, t), 0) + 1
     decomposition = {"assignment": 0.0, "expansion": 0.0, "overflow": 0.0}
     for (s, i, t), load in sorted(loads_all.items()):
         org = org_by_id[s]
         e, o = cheapest_split(org, i, t, load)
         if e:
-            values[f"E_s{s}_i{i}_t{t}"] = float(e)
+            values[column_name("E", None, s, i, t)] = float(e)
             decomposition["expansion"] += org.cost_expand_gamma.get(i, 0.0) * e
         if o:
-            values[f"O_s{s}_i{i}_t{t}"] = float(o)
+            values[column_name("O", None, s, i, t)] = float(o)
             decomposition["overflow"] += org.cost_overflow_lambda.get(i, 0.0) * o
         decomposition["assignment"] += org.cost_assign_r.get(i, 0.0) * load
     solution = Solution(

@@ -30,7 +30,7 @@ def solve_lp(lp, bounds=None, time_limit=None):
     ``time_limit`` caps the seconds HiGHS may spend; a solve it cuts short
     returns LP_LIMIT. A violated row without columns makes it infeasible.
     """
-    parts, rows_hold = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *solver._triplets(lp))
+    parts, rows_hold = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *lp.nonzeros())
     if not rows_hold:
         return solver.LpResult(solver.LP_INFEASIBLE, math.inf, None)
     if not parts:

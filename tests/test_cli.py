@@ -253,7 +253,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("objective", "abc"), ("values", [1, 2]), ("values", {"U_y1_s1_i1": "a"})],
+        [("objective", "abc"), ("values", [1, 2]), ("values", {"U_y1_s1_i1": "a"}),
+         *(("values", {name: 1.0}) for name in ("X_y1_s1", "X_yab_s1_i1_t1", "Q"))],
     )
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_bad_solution_field(self, runner, solved, command, field, value):

@@ -1,8 +1,12 @@
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import shelterplan
 from shelterplan import datagen, solver
 from shelterplan.domain import (
     BED_SERVICE_ID,
@@ -100,8 +104,8 @@ class TestCapacityRows:
             [org(1, cap=1, head=0), psi_org(2, [1])],
         )
         lp, sol = solve(inst)
-        for col, ref in enumerate(lp.col_refs):
-            if ref.kind == "E" and ref.s == 1:
+        for col, (kind, s) in enumerate(zip(lp.col_kind, lp.col_s)):
+            if kind == "E" and s == 1:
                 assert lp.ub[col] == 0.0
         assert not any(k.startswith("E_s1") for k in sol.values)
 
@@ -113,11 +117,11 @@ class TestCapacityRows:
         lp = build(inst)
         assert "2b" not in lp.row_family
         orgs = {o.id: o for o in inst.organizations}
-        e_refs = [(col, ref) for col, ref in enumerate(lp.col_refs) if ref.kind == "E"]
-        assert e_refs
-        for col, ref in e_refs:
-            org_ = orgs[ref.s]
-            assert lp.ub[col] == org_.headroom(ref.i) - org_.capacity(ref.i, ref.t)
+        e_cols = [col for col, kind in enumerate(lp.col_kind) if kind == "E"]
+        assert e_cols
+        for col in e_cols:
+            org_, i = orgs[lp.col_s[col]], lp.col_i[col]
+            assert lp.ub[col] == org_.headroom(i) - org_.capacity(i, lp.col_t[col])
 
     def test_no_admissible_youth_emits_no_rows(self):
         # Organization 1 rejects this youth, so no (s=1) capacity rows exist.
@@ -129,7 +133,7 @@ class TestCapacityRows:
         )
         lp = build(inst)
         assert not any(name.startswith("C2a_s1") for name in lp.row_names)
-        assert not any(ref.s == 1 for ref in lp.col_refs)
+        assert 1 not in lp.col_s
 
 
 class TestAssignmentRows:
@@ -152,7 +156,7 @@ class TestAssignmentRows:
             [org(1, bits=(1, 1, 1, 1)), org(2, bits=(1, 0, 0, 0)), psi_org(3, [1])],
         )
         lp = build(inst)
-        assert not any(ref.kind in ("U", "X") and ref.s == 2 for ref in lp.col_refs)
+        assert not any(kind in ("U", "X") and s == 2 for kind, s in zip(lp.col_kind, lp.col_s))
 
     def test_2d_rows_link_each_org(self):
         # A weekly need with flexibility 1 at three organizations. The bed
@@ -194,9 +198,9 @@ class TestTimeWindows:
             [org(1), psi_org(2, [1])],
         )
         lp = build(inst)
-        for ref in lp.col_refs:
-            if ref.kind == "X":
-                assert ref.t >= 4
+        for kind, t in zip(lp.col_kind, lp.col_t):
+            if kind == "X":
+                assert t >= 4
 
 
 class TestPeriodicityRows:
@@ -275,7 +279,7 @@ class TestPeriodicityRows:
             [org(1), psi_org(2, [1])],
         )
         lp = build(inst)
-        w = [ref.name for ref in lp.col_refs if ref.kind == "W"]
+        w = [name for name, kind in zip(lp.column_names(), lp.col_kind) if kind == "W"]
         assert w == ["W_y1_s1_i1_t1", "W_y1_s1_i1_t2", "W_y1_s2_i1_t1", "W_y1_s2_i1_t2"]
         assert not any(name.startswith(("C4bg", "C4bm")) for name in lp.row_names)
         # W implies the stay's count, window and link rows.
@@ -332,14 +336,14 @@ class TestBuild:
         lp = build(inst)
         orgs = {o.id: o for o in inst.organizations}
         youths = {y.id: y for y in inst.youths}
-        for ref in lp.col_refs:
-            if ref.kind != "X":
+        for kind, y_id, s, i, t in zip(lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t):
+            if kind != "X":
                 continue
-            y = youths[ref.y]
-            need = y.need_for(ref.i)
-            assert service_offered(orgs[ref.s], ref.i, inst.services)
-            assert demographic_compatible(y.demographics, orgs[ref.s].accepts)
-            assert need.window_start_a <= ref.t <= min(
+            y = youths[y_id]
+            need = y.need_for(i)
+            assert service_offered(orgs[s], i, inst.services)
+            assert demographic_compatible(y.demographics, orgs[s].accepts)
+            assert need.window_start_a <= t <= min(
                 need.window_end_b + need.duration_d, inst.horizon_T
             )
 
@@ -473,7 +477,7 @@ class TestExports:
         entries, rhs, lower, upper = read_mps(path)
         names = lp.column_names()
         by_col = {}
-        for r, c, v in zip(lp._tri_row, lp._tri_col, lp._tri_val):
+        for r, c, v in zip(*lp.nonzeros()):
             by_col.setdefault(c, []).append((lp.row_names[r], v))
         expected = []
         for c, name in enumerate(names):
@@ -510,13 +514,104 @@ class TestExports:
         assert sum(1 for l in lines if l.startswith("NZ ")) == small_lp.nnz
 
 
+def layout_instance():
+    """Stay needs, two needs that are no stay, and a need that no organization offers.
+
+    There is no catch-all organization, which would offer every service.
+    """
+    catalog = bed_catalog([
+        ServiceIntensity(2, "Counseling", "Low", True, 1),
+        ServiceIntensity(3, "Checkup", "Low", False, 0),
+        ServiceIntensity(4, "Legal", "Low", False, 0),
+    ])
+    return make_instance(
+        30, catalog,
+        [youth(1, 1, [bed_need(3, 1, 2), ServiceNeed(2, 21, 3, 1, 3),
+                      ServiceNeed(3, 10, 2, 1, 5)]),
+         youth(2, 2, [bed_need(4, 2, 3), ServiceNeed(4, 10, 1, 2, 4)])],
+        [org(1, offers=(1, 2, 3)), org(2, offers=(1, 2))],
+    )
+
+
+class TestColumnLayout:
+    """``lp.needs`` and ``lp.triples`` reach the columns whose fields they claim."""
+
+    def assert_layout(self, lp):
+        fields = list(zip(lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t))
+        reached = []
+        for (y, i), rec in lp.needs.items():
+            assert np.all(np.diff(rec.starts) == 1)
+            for j, s in enumerate(rec.orgs):
+                reached.append(rec.u + j)
+                assert fields[rec.u + j] == ("U", y, s, i, None)
+                for p, t in enumerate(rec.days):
+                    reached.append(rec.x + j * len(rec.days) + p)
+                    assert fields[reached[-1]] == ("X", y, s, i, t)
+                for q, t in enumerate(rec.starts):
+                    reached.append(rec.w + j * len(rec.starts) + q)
+                    assert fields[reached[-1]] == ("W", y, s, i, t)
+        assert sorted(reached) == [col for col, f in enumerate(fields) if f[0] in ("U", "X", "W")]
+
+        triples = lp.triples
+        keys = [tuple(key) for key in triples.keys.tolist()]
+        assert keys == sorted(set(keys))
+        assert triples.start[0] == 0 and triples.start[-1] == triples.x.size
+        assert np.all(np.diff(triples.start) > 0)
+        for k, key in enumerate(keys):
+            for col in triples.x[triples.start[k]:triples.start[k + 1]].tolist():
+                assert fields[col][0] == "X" and fields[col][2:] == key
+            assert fields[triples.e[k]] == ("E", None, *key)
+            assert fields[triples.o[k]] == ("O", None, *key)
+        for kind, cols in (("X", triples.x), ("E", triples.e), ("O", triples.o)):
+            assert sorted(cols.tolist()) == [col for col, f in enumerate(fields) if f[0] == kind]
+
+    def test_micro_pool(self, micro_pool):
+        for inst in micro_pool:
+            self.assert_layout(build(inst))
+
+    def test_tree_pool_3081(self):
+        self.assert_layout(build(datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3081)
+        )))
+
+    def test_stays_other_needs_and_a_need_without_orgs(self):
+        lp = build(layout_instance())
+        recs = lp.needs
+        assert len(recs) == 5
+        assert recs[(1, 1)].starts and recs[(2, 1)].starts
+        assert recs[(1, 2)].orgs and not recs[(1, 2)].starts
+        assert recs[(1, 3)].orgs and not recs[(1, 3)].starts
+        assert recs[(2, 4)].orgs == []
+        self.assert_layout(lp)
+
+
+def test_full_scale_build_fits_the_memory_budget():
+    # The paper's full scale (500 youth, 180 days): build the model and cut
+    # the service blocks in a fresh interpreter, within 1 GiB of peak RSS.
+    code = (
+        "import resource\n"
+        "from shelterplan import datagen, solver\n"
+        "from shelterplan.model import build\n"
+        "inst = datagen.generate_instance(datagen.GenerationConfig(seed=7, bed_scale=1.0))\n"
+        "solver._ServiceBlocks(build(inst))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(shelterplan.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    peak_mib = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    assert peak_mib < 1024, f"peak RSS {peak_mib:.0f} MiB"
+
+
 def row_by_row(lp):
     """A copy of ``lp`` whose rows are added one ``add_row`` call each."""
     copy = LinearProgram(lp.source_instance)
-    for ref, obj, lo, hi, integer in zip(lp.col_refs, lp.obj, lp.lb, lp.ub, lp.is_integer):
-        copy.add_col(ref.kind, y=ref.y, s=ref.s, i=ref.i, t=ref.t, obj=obj, lb=lo, ub=hi,
-                     integer=integer)
-    rows, cols, vals = solver._triplets(lp)
+    for kind, y, s, i, t, obj, lo, hi, integer in zip(
+        lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t, lp.obj, lp.lb, lp.ub, lp.is_integer
+    ):
+        copy.add_cols(kind, 1, y=y, s=s, i=i, t=t, obj=obj, lb=lo, ub=hi, integer=integer)
+    rows, cols, vals = lp.nonzeros()
     bounds = np.searchsorted(rows, np.arange(lp.n_rows + 1)).tolist()
     for r in range(lp.n_rows):
         lo, hi = bounds[r], bounds[r + 1]
@@ -529,13 +624,12 @@ class TestStorage:
     def mixed_lp(self):
         """Two services' columns; single rows and bulk rows, with a read in between."""
         lp = LinearProgram()
-        for j in range(6):
-            lp.add_col("X", y=1, s=1, i=1 + j // 3, t=1 + j % 3, obj=float(j - 3), lb=0.0,
-                       ub=1.0, integer=True)
+        lp.add_cols("X", 6, y=1, s=1, i=[1, 1, 1, 2, 2, 2], t=[1, 2, 3] * 2,
+                    obj=[-3.0, -2.0, -1.0, 0.0, 1.0, 2.0], lb=0.0, ub=1.0, integer=True)
         lp.add_row("A", "2a", "<=", 2.0, [0, 2, 1], [1.0, 1.0, 1.0])
         lp.add_rows(["B", "C", "D"], "4b", "=", [1.0, 0.0, 1.0], [2, 0, 3],
                     np.array([3, 4, 5, 4, 3]), np.array([1.0, -1.0, 1.0, 2.0, 0.5]))
-        solver._triplets(lp)
+        lp.nonzeros()
         lp.add_row("E", "3b", ">=", 1.0, [1, 0], [1.0, 1.0])
         lp.add_rows(["F", "G"], "4c", "<=", [1.0, 1.0], [2, 1], [0, 1, 2], [1.0, 1.0, -1.0])
         return lp
@@ -544,7 +638,7 @@ class TestStorage:
         assert other.nnz == lp.nnz
         for attr in ("row_names", "row_family", "row_sense", "rhs"):
             assert getattr(other, attr) == getattr(lp, attr)
-        for ours, theirs in zip(solver._triplets(lp), solver._triplets(other)):
+        for ours, theirs in zip(lp.nonzeros(), other.nonzeros()):
             assert ours.dtype == theirs.dtype and np.array_equal(ours, theirs)
         blocks, other_blocks = solver._ServiceBlocks(lp), solver._ServiceBlocks(other)
         assert np.array_equal(blocks.of_col, other_blocks.of_col)
@@ -557,11 +651,11 @@ class TestStorage:
                 assert np.array_equal(value, matrix2[key])
 
     def test_triplets_are_typed_arrays(self):
-        rows, cols, vals = solver._triplets(self.mixed_lp())
+        rows, cols, vals = self.mixed_lp().nonzeros()
         assert (rows.dtype, cols.dtype, vals.dtype) == (np.int32, np.int32, np.float64)
         assert rows.tolist() == [0, 0, 0, 1, 1, 3, 3, 3, 4, 4, 5, 5, 6]
         assert cols.tolist() == [0, 2, 1, 3, 4, 5, 4, 3, 1, 0, 0, 1, 2]
-        empty = solver._triplets(LinearProgram())
+        empty = LinearProgram().nonzeros()
         assert [part.dtype for part in empty] == [np.int32, np.int32, np.float64]
         assert all(part.size == 0 for part in empty)
 
@@ -580,7 +674,7 @@ class TestStorage:
 
     def test_row_lengths_must_match_entries(self):
         lp = LinearProgram()
-        lp.add_col("X", y=1, s=1, i=1, t=1, obj=0.0, lb=0.0, ub=1.0, integer=True)
+        lp.add_cols("X", 1, y=1, s=1, i=1, t=1, obj=0.0, lb=0.0, ub=1.0, integer=True)
         with pytest.raises(ValueError):
             lp.add_rows(["A"], "2a", "<=", [1.0], [2], [0], [1.0])
 

@@ -41,8 +41,7 @@ def hand_lp():
     objective values {0, -1}, so any vertex on the cut is optimal.
     """
     lp = LinearProgram()
-    for j in range(3):
-        lp.add_col("X", y=1, s=1, i=1, t=j + 1, obj=-1.0, lb=0.0, ub=1.0, integer=False)
+    lp.add_cols("X", 3, y=1, s=1, i=1, t=[1, 2, 3], obj=-1.0, lb=0.0, ub=1.0, integer=False)
     lp.add_row("CAP", "2a", "<=", 1.0, [0, 1, 2], [1.0, 1.0, 1.0])
     return lp
 
@@ -89,8 +88,8 @@ def scipy_linprog(lp, cols, time_limit=None):
 def unbounded_lp():
     """min -x0 subject to x1 - x0 <= 1, x0 >= 0 without upper bound, x1 in [0, 1]."""
     lp = LinearProgram()
-    lp.add_col("X", y=1, s=1, i=1, t=1, obj=-1.0, lb=0.0, ub=math.inf, integer=False)
-    lp.add_col("X", y=1, s=1, i=1, t=2, obj=0.0, lb=0.0, ub=1.0, integer=False)
+    lp.add_cols("X", 2, y=1, s=1, i=1, t=[1, 2], obj=[-1.0, 0.0], lb=0.0, ub=[math.inf, 1.0],
+                integer=False)
     lp.add_row("R", "2a", "<=", 1.0, [0, 1], [-1.0, 1.0])
     return lp
 
@@ -128,7 +127,7 @@ class TestHighsCall:
     def test_status_mapping(self, make, time_limit, status, code):
         lp = make()
         assert solve_lp(lp, time_limit=time_limit).status == status
-        parts, _ = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *solver._triplets(lp))
+        parts, _ = solver._split(lp, np.zeros(lp.n_cols, dtype=np.int64), *lp.nonzeros())
         (cols, c, matrix), = parts
         lb, ub = lp.bounds_arrays()
         # Each row pairs our status with scipy's code for the same outcome.
@@ -286,7 +285,7 @@ class TestBranchAndBound:
         # the model it is scored on.
         _, lp = desk_lp()
         x = schedule_heuristic(lp)
-        assert any(x[col] == 1.0 for wmap in lp.w_cols.values() for col in wmap.values())
+        assert any(x[col] == 1.0 for col, kind in enumerate(lp.col_kind) if kind == "W")
         c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         lb, ub = lp.bounds_arrays()
         assert np.all(x >= lb - 1e-6) and np.all(x <= ub + 1e-6)
@@ -321,8 +320,8 @@ class TestBranchAndBound:
 
         def heuristic(lp, *args, **kwargs):
             x = real(lp, *args, **kwargs)
-            cols = [col for tmap in lp.x_cols.values() for col in tmap.values()]
-            x[next(col for col in cols if x[col] == 1.0)] = 0.0
+            x_cols = [col for col, kind in enumerate(lp.col_kind) if kind == "X"]
+            x[next(col for col in x_cols if x[col] == 1.0)] = 0.0
             return x
 
         monkeypatch.setattr(solver, "schedule_heuristic", heuristic)
@@ -389,13 +388,17 @@ class TestServiceBlocks:
         root = solve_lp(lp)
         blocks = solver._ServiceBlocks(lp)
         n_blocks = len(blocks.parts)
-        assert n_blocks == len({ref.i for ref in lp.col_refs})
+        assert n_blocks == len(set(lp.col_i))
         c, A_ub, b_ub, A_eq, b_eq = lp.to_scipy()
         lb0, ub0 = lp.bounds_arrays()
 
+        dearest_x = {}
+        for col, (kind, y, s, i) in enumerate(zip(lp.col_kind, lp.col_y, lp.col_s, lp.col_i)):
+            if kind == "X":
+                dearest_x[(y, s, i)] = max(dearest_x.get((y, s, i), -math.inf), lp.obj[col])
+
         def dearest(col):
-            ref = lp.col_refs[col]
-            return max(lp.obj[x] for x in lp.x_cols[(ref.y, ref.s, ref.i)].values())
+            return dearest_x[(lp.col_y[col], lp.col_s[col], lp.col_i[col])]
 
         def by_block(lb, ub):
             """The LP solved block by block: summed value and joined x."""
@@ -410,7 +413,7 @@ class TestServiceBlocks:
         moved = 0
         for b in range(0, n_blocks, 4):
             u_cols = [j for j in np.flatnonzero(blocks.of_col == b)
-                      if lp.col_refs[j].kind == "U"]
+                      if lp.col_kind[j] == "U"]
             # Forbid the most-used organization; force the dearest one.
             used = max(u_cols, key=lambda j: (root.x[j], -j))
             dear = max(u_cols, key=lambda j: (dearest(j), -j))
@@ -431,7 +434,8 @@ class TestServiceBlocks:
         lp = LinearProgram()
 
         def col(i, t, obj):
-            return lp.add_col("X", y=1, s=1, i=i, t=t, obj=obj, lb=0.0, ub=1.0, integer=True)
+            return lp.add_cols("X", 1, y=1, s=1, i=i, t=t, obj=obj, lb=0.0, ub=1.0,
+                               integer=True)[0]
 
         a, b = col(1, 1, -5.0), col(1, 2, -4.0)
         c, d = col(2, 1, -3.0), col(2, 2, -3.0)
@@ -463,7 +467,7 @@ class TestServiceBlocks:
         lb, ub = lp.bounds_arrays()
         integer = np.asarray(lp.is_integer, dtype=int)
         x = schedule_heuristic(lp)
-        service = np.array([ref.i for ref in lp.col_refs])
+        service = np.array(lp.col_i)
         optima = []
         for i in np.unique(service):
             cols = np.flatnonzero(service == i)
@@ -563,10 +567,12 @@ class TestCheapestSplit:
         x = schedule_heuristic(lp)
         tracker = solver._LoadTracker(inst)
         total = 0.0
-        for (y, s, i), tmap in lp.x_cols.items():
-            days = [t for t, col in tmap.items() if x[col] > 0.5]
-            total += sum(tracker.row(s, i)[t] for t in days)
-            tracker.commit(s, i, days)
+        for (y, i), rec in lp.needs.items():
+            for j, s in enumerate(rec.orgs):
+                first = rec.x + j * len(rec.days)
+                days = [t for p, t in enumerate(rec.days) if x[first + p] > 0.5]
+                total += sum(tracker.row(s, i)[t] for t in days)
+                tracker.commit(s, i, days)
         assert float(np.dot(lp.obj, x)) == pytest.approx(120.0)
         assert total == pytest.approx(120.0)
 
@@ -582,14 +588,24 @@ def reference_marginal(org_, i, t, load):
 
 
 def reference_repair(lp, x):
-    """``repair_expansion`` as one ``cheapest_split`` call per (org, service, day) triple."""
+    """``repair_expansion`` as one ``cheapest_split`` call per (org, service, day) triple.
+
+    The loads and the E and O columns are found from each column's kind and
+    index fields alone.
+    """
     org_by_id = {o.id: o for o in lp.source_instance.organizations}
     out = x.copy()
-    for (s, i, t), cols in lp.x_by_triple.items():
-        load = int(round(sum(float(out[c]) for c in cols)))
-        e, o = cheapest_split(org_by_id[s], i, t, load)
-        out[lp.e_cols[(s, i, t)]] = float(e)
-        out[lp.o_cols[(s, i, t)]] = float(o)
+    loads, split_cols = {}, {}
+    for col, (kind, s, i, t) in enumerate(zip(lp.col_kind, lp.col_s, lp.col_i, lp.col_t)):
+        if kind == "X":
+            loads.setdefault((s, i, t), []).append(float(out[col]))
+        elif kind in ("E", "O"):
+            split_cols.setdefault((s, i, t), {})[kind] = col
+    assert set(loads) == set(split_cols)
+    for (s, i, t), cols in split_cols.items():
+        e, o = cheapest_split(org_by_id[s], i, t, int(round(sum(loads[(s, i, t)]))))
+        out[cols["E"]] = float(e)
+        out[cols["O"]] = float(o)
     return out
 
 
@@ -644,13 +660,13 @@ class TestHeuristicPricing:
                         continue
                     gaps = (max(need.omega - k, 1), need.omega + k) if svc.periodic else (1, T)
                     schedules = np.array(enumerate_schedules(need, svc.periodic, k, T), dtype=int)
-                    for s in lp.need_orgs[(y.id, need.service)]:
-                        domain = lp.x_cols[(y.id, s, need.service)]
-                        inside = schedules[np.isin(schedules, list(domain)).all(axis=1)]
+                    domain = lp.needs[(y.id, need.service)].days
+                    for s in lp.needs[(y.id, need.service)].orgs:
+                        inside = schedules[np.isin(schedules, domain).all(axis=1)]
                         row = rng.integers(0, 10, size=T + 1).astype(float).tolist()
                         tracker = SimpleNamespace(row=lambda s_, i_, row=row: row)
                         res = solver._greedy_schedule(tracker, s, need.service, need, gaps,
-                                                      dict.fromkeys(sorted(domain)))
+                                                      dict.fromkeys(domain))
                         checked[name] += 1
                         if not len(inside):
                             assert res is None
@@ -695,15 +711,16 @@ class TestHeuristicPricing:
             for _ in range(3):
                 # Random 0/1 X columns and arbitrary values everywhere else.
                 x = rng.normal(size=lp.n_cols)
-                for cols in lp.x_by_triple.values():
-                    x[cols] = rng.integers(0, 2, size=len(cols))
+                x_cols = np.flatnonzero(np.array(lp.col_kind) == "X")
+                x[x_cols] = rng.integers(0, 2, size=x_cols.size)
                 assert np.array_equal(solver.repair_expansion(lp, x), reference_repair(lp, x))
 
     def test_mixed_instance_exercises_both_cost_orders(self):
         lp = build(mixed_split_instance())
         x = solver.repair_expansion(lp, schedule_heuristic(lp))
-        used = {(s, t) for (s, _, t), col in lp.o_cols.items() if x[col] > 0}
-        extra = {(s, t) for (s, _, t), col in lp.e_cols.items() if x[col] > 0}
+        keys = lp.triples.keys.tolist()
+        used = {(s, t) for (s, _, t), col in zip(keys, lp.triples.o) if x[col] > 0}
+        extra = {(s, t) for (s, _, t), col in zip(keys, lp.triples.e) if x[col] > 0}
         assert any(s == 1 for s, _ in used)  # org 1 overflows rather than expands
         assert not any(s == 1 for s, _ in extra)
 
@@ -720,7 +737,7 @@ class TestHeuristicPricing:
             "d0cf6a82a9fc6944fcf1f92795af938b52b7af77368ffaf0b535c72ab5a0359e"
         )
         cols, c, matrix = solver._ServiceBlocks(lp).parts[0]
-        assert {lp.col_refs[j].i for j in cols} == {1}
+        assert {lp.col_i[j] for j in cols} == {1}
         lb, ub = lp.bounds_arrays()
         x_root = first.copy()
         x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
