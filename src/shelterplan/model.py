@@ -57,16 +57,19 @@ x + j*len(days) + p, and W starting on starts[q] is w + j*len(starts) + q;
 a stay's starts, like its days, are consecutive days. ``lp.triples`` is a
 ``Triples(keys, x, start, e, o)`` of arrays: the used (s, i, t) sorted,
 the X columns of triple k in x[start[k]:start[k + 1]] (at least one), and
-its E and O columns e[k] and o[k]. So a need's X columns are consecutive,
-and the builder emits each row family as arrays through ``add_rows``: C2a
-in one call; per need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a
-rotation of the need's later days) and the C4c windows; per stay need
-C4bw, then C4bl and C2dw per organization. Row order, names and the order
-of each row's nonzeros are those of adding the rows one at a time.
+its E and O columns e[k] = e[0] + k and o[k] = o[0] + k; its C2a row is
+row k. So a need's X columns are consecutive, and the builder emits each
+row family as arrays through ``add_rows``: C2a first, in one call; per
+need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a rotation of the
+need's later days) and the C4c windows; per stay need C4bw, then C4bl and
+C2dw per organization. Row order, names and the order of each row's
+nonzeros are those of adding the rows one at a time.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import chain
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -104,17 +107,28 @@ def parse_variable_name(name: str) -> tuple[str, dict[str, int]]:
     return kind, indices
 
 
+# The names column_name writes for the kinds that key values: the kind,
+# then each index letter with an integer as str writes one.
+_VALUE_NAMES = {
+    kind: re.compile(kind + "".join(f"_{field}(0|-?[1-9][0-9]*)" for field in fields))
+    for kind, fields in KEY_FIELDS.items()
+}
+
+
 def index_values(values: Mapping[str, float]) -> dict[str, dict[tuple[int, ...], float]]:
     """Group named values by kind, each keyed by its KEY_FIELDS index tuple.
 
-    Names of other kinds are skipped; callers filter the values first.
+    ValueError for a name that no U, X, E or O column has: one that
+    ``column_name`` writes for no index values.
     """
     tables: dict[str, dict[tuple[int, ...], float]] = {kind: {} for kind in KEY_FIELDS}
     for name, v in values.items():
-        kind, idx = parse_variable_name(name)
-        fields = KEY_FIELDS.get(kind)
-        if fields is not None:
-            tables[kind][tuple(idx[f] for f in fields)] = v
+        kind = name.partition("_")[0]
+        pattern = _VALUE_NAMES.get(kind)
+        match = pattern.fullmatch(name) if pattern is not None else None
+        if match is None:
+            raise ValueError(f"malformed variable name {name!r}")
+        tables[kind][tuple(map(int, match.groups()))] = v
     return tables
 
 
@@ -616,17 +630,61 @@ def _field(text: str, width: int) -> str:
     return text.ljust(width) if len(text) < width else text + " "
 
 
-def _distinct_texts(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """Each distinct number formatted once: the texts and each value's index.
+class _NumberTexts:
+    """Each distinct number's texts, formatted once and kept for the file.
 
-    Values are told apart by their bits, so 0.0 and -0.0 keep their own text.
+    Numbers are keyed by their bits, so 0.0 and -0.0 keep their own text.
+    Each of ``forms`` turns a number's text into one string the lines use.
     """
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    return [_fmt(v) for v in bits.view(np.float64).tolist()], index
+
+    def __init__(self, *forms):
+        self._forms = forms
+        self._known: dict[int, tuple[str, ...]] = {}
+
+    def __call__(self, values) -> list[np.ndarray]:
+        """Per form, an object array with that form of each value's text."""
+        bits, index = np.unique(np.asarray(values, dtype=np.float64).view(np.int64),
+                                return_inverse=True)
+        known, found = self._known, []
+        for key, v in zip(bits.tolist(), bits.view(np.float64).tolist()):
+            texts = known.get(key)
+            if texts is None:
+                text = _fmt(v)
+                texts = known[key] = tuple(form(text) for form in self._forms)
+            found.append(texts)
+        return [np.array([texts[j] for texts in found], dtype=object)[index]
+                for j in range(len(self._forms))]
 
 
-# Columns whose COLUMNS lines write_mps formats from one slice of Python lists.
-_MPS_SLICE = 4096
+def _name_fields(names, count: int) -> np.ndarray:
+    """``count`` names as 10-wide fields in an object array."""
+    return np.fromiter((_field(name, 10) for name in names), dtype=object, count=count)
+
+
+def _lines(count: int, *cells) -> str:
+    """The text of ``count`` lines, given cell by cell.
+
+    A cell is one string for every line or one string per line (a list or
+    an object array); the cells fill an object table by columns, and its
+    rows are joined into one string.
+    """
+    table = np.empty((count, len(cells)), dtype=object)
+    for j, cell in enumerate(cells):
+        table[:, j] = cell
+    return "".join(table.ravel().tolist())
+
+
+def _where(mask: np.ndarray, cells: np.ndarray | str) -> np.ndarray:
+    """``cells`` (an object array, or one string for all) where ``mask`` holds, else ""."""
+    out = np.full(mask.size, "", dtype=object)
+    out[mask] = cells if isinstance(cells, str) else cells[mask]
+    return out
+
+
+# Columns, or rows, whose lines the writers join into one string at a time.
+_SLICE = 4096
+
+_SENSE_TAG = {SENSE_LE: " L  ", SENSE_GE: " G  ", SENSE_EQ: " E  "}
 
 
 def write_mps(lp: LinearProgram, path: str) -> None:
@@ -638,87 +696,109 @@ def write_mps(lp: LinearProgram, path: str) -> None:
     inside one INTORG/INTEND marker pair.
 
     A column's entries are its nonzero cost, then its matrix entries in
-    ascending row order, two to a line. The entries stay arrays; only one
-    slice of columns at a time becomes Python lists.
+    ascending row order, two to a line. Every section is written a slice
+    of ``_SLICE`` columns or rows at a time, each slice's lines joined
+    into one string. The only temporary the size of the nonzeros is the
+    stable column order of the model's own (row-ordered) arrays; a slice
+    gathers its entries through it. Each row and column field, and each
+    distinct number's text, is made once.
     """
     n, m = lp.n_cols, lp.n_rows
-    col_fields = [_field(name, 10) for name in lp.column_names()]
-    # Row index m stands for the objective row COST.
-    row_fields = [_field(name, 10) for name in lp.row_names] + [_field("COST", 10)]
-
-    # Cost entries first, so that a stable sort by column puts each cost
-    # ahead of the column's matrix entries, which keep their row order.
-    tri_row, tri_col, tri_val = lp.nonzeros()
-    obj = np.asarray(lp.obj, dtype=float)
-    cost_cols = np.flatnonzero(obj != 0.0)
-    cols = np.concatenate([cost_cols.astype(np.int32), tri_col])
+    rows, cols, vals = lp.nonzeros()
+    # Column c's matrix entries are order[starts[c]:starts[c + 1]], in row order.
     order = np.argsort(cols, kind="stable")
-    starts = np.searchsorted(cols[order], np.arange(n + 1)).tolist()
-    del cols
-    row_of = np.concatenate([np.full(cost_cols.size, m, dtype=np.int32), tri_row])[order]
-    texts, text_of = _distinct_texts(np.concatenate([obj[cost_cols], tri_val])[order])
-    del order
-    padded = [_field(text, 15) for text in texts]
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=starts[1:])
+    obj = np.asarray(lp.obj, dtype=np.float64)
+    col_fields = _name_fields(
+        map(column_name, lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t), n)
+    # Row index m stands for the objective row COST.
+    row_fields = _name_fields(chain(lp.row_names, ["COST"]), m + 1)
+    numbers = _NumberTexts(lambda text: _field(text, 15), lambda text: text + "\n")
 
     with open(path, "w", encoding="utf-8") as fh:
         out = fh.write
-        out("NAME" + " " * 10 + "SHELTERPLAN\n")
-        out("ROWS\n")
-        out(" N  COST\n")
-        for name, sense in zip(lp.row_names, lp.row_sense):
-            tag = {SENSE_LE: "L", SENSE_GE: "G", SENSE_EQ: "E"}[sense]
-            out(f" {tag}  {name}\n")
+        out("NAME" + " " * 10 + "SHELTERPLAN\nROWS\n N  COST\n")
+        for lo in range(0, m, _SLICE):
+            hi = min(lo + _SLICE, m)
+            out(_lines(hi - lo, [_SENSE_TAG[sense] for sense in lp.row_sense[lo:hi]],
+                       lp.row_names[lo:hi], "\n"))
         out("COLUMNS\n")
         out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTORG'\n")
-        for first in range(0, n, _MPS_SLICE):
-            last = min(first + _MPS_SLICE, n)
+        for first in range(0, n, _SLICE):
+            last = min(first + _SLICE, n)
             base = starts[first]
-            rows = row_of[base:starts[last]].tolist()
-            text_idx = text_of[base:starts[last]].tolist()
-            for col in range(first, last):
-                prefix = "    " + col_fields[col]
-                lo, hi = starts[col] - base, starts[col + 1] - base
-                for j in range(lo, hi - 1, 2):
-                    out(
-                        prefix + row_fields[rows[j]] + padded[text_idx[j]]
-                        + row_fields[rows[j + 1]] + texts[text_idx[j + 1]] + "\n"
-                    )
-                if (hi - lo) % 2:
-                    out(prefix + row_fields[rows[hi - 1]] + texts[text_idx[hi - 1]] + "\n")
+            take = order[base:starts[last]]
+            # The slice's entries, each column's cost (row m) at its head.
+            costed = np.flatnonzero(obj[first:last] != 0.0)
+            at = starts[first + costed] - base
+            entry_row = np.insert(rows[take], at, m)
+            padded, ends = numbers(np.insert(vals[take], at, obj[first + costed]))
+            count = np.diff(starts[first:last + 1])
+            count[costed] += 1
+            # A column's line j holds its entries 2j and 2j + 1; with an odd
+            # count, its last line holds one entry.
+            per_col = (count + 1) // 2
+            j = _positions(per_col)
+            a = np.repeat(np.cumsum(count) - count, per_col) + 2 * j
+            pair = 2 * j + 1 < np.repeat(count, per_col)
+            b = np.where(pair, a + 1, a)
+            out(_lines(
+                a.size, "    ", col_fields[np.repeat(np.arange(first, last), per_col)],
+                row_fields[entry_row[a]], np.where(pair, padded[a], ends[a]),
+                _where(pair, row_fields[entry_row[b]]), _where(pair, ends[b]),
+            ))
+        del order  # the nonzero-sized temporary is not needed past COLUMNS
         out("    MARKER    " + _field("'MARKER'", 25 - 14) + "'INTEND'\n")
         out("RHS\n")
-        for name, rhs in zip(row_fields, lp.rhs):
-            if rhs != 0.0:
-                out("    " + _field("RHS", 10) + name + _fmt(rhs) + "\n")
+        rhs = np.asarray(lp.rhs, dtype=np.float64)
+        for lo in range(0, m, _SLICE):
+            at = lo + np.flatnonzero(rhs[lo:lo + _SLICE] != 0.0)
+            out(_lines(at.size, "    " + _field("RHS", 10), row_fields[at], numbers(rhs[at])[1]))
         out("BOUNDS\n")
-        bnd = _field("BND", 10)
-        ub_texts, ub_text_of = _distinct_texts(np.asarray(lp.ub, dtype=float))
-        for col, text in enumerate(ub_text_of.tolist()):
-            if lp.lb[col] != 0.0:
-                out(" LO " + bnd + col_fields[col] + _fmt(lp.lb[col]) + "\n")
-            out(" UI " + bnd + col_fields[col] + ub_texts[text] + "\n")
+        lb, ub = lp.bounds_arrays()
+        for first in range(0, n, _SLICE):
+            last = min(first + _SLICE, n)
+            fields = col_fields[first:last]
+            lower = lb[first:last] != 0.0
+            out(_lines(
+                last - first, _where(lower, " LO " + _field("BND", 10)),
+                _where(lower, fields), _where(lower, numbers(lb[first:last])[1]),
+                " UI " + _field("BND", 10), fields, numbers(ub[first:last])[1],
+            ))
         out("ENDATA\n")
 
 
-# Nonzeros that write_triplets formats from one slice of Python lists.
-_TRIPLET_SLICE = 65536
-
-
 def write_triplets(lp: LinearProgram, path: str) -> None:
-    """Write the documented sparse-triplet text format (one entry per line)."""
+    """Write the documented sparse-triplet text format (one entry per line).
+
+    Like ``write_mps``, it joins the lines of a slice at a time and makes
+    each name, index and distinct number's text once.
+    """
+    n, m = lp.n_cols, lp.n_rows
+    numbers = _NumberTexts(lambda text: " " + text, lambda text: " " + text + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         out = fh.write
-        out(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {lp.n_cols}\nNROWS {lp.n_rows}\n")
-        for col, name in enumerate(lp.column_names()):
-            out(
-                f"VAR {name} {_fmt(lp.lb[col])} {_fmt(lp.ub[col])} "
-                f"{1 if lp.is_integer[col] else 0} {_fmt(lp.obj[col])}\n"
-            )
-        for r in range(lp.n_rows):
-            out(f"ROW {lp.row_names[r]} {lp.row_family[r]} {lp.row_sense[r]} {_fmt(lp.rhs[r])}\n")
-        nonzeros = lp.nonzeros()
-        for first in range(0, lp.nnz, _TRIPLET_SLICE):
-            rows, cols, vals = (part[first:first + _TRIPLET_SLICE].tolist() for part in nonzeros)
-            for r, c, v in zip(rows, cols, vals):
-                out(f"NZ {r} {c} {_fmt(v)}\n")
+        out(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {n}\nNROWS {m}\n")
+        for first in range(0, n, _SLICE):
+            last = min(first + _SLICE, n)
+            names = list(map(column_name, lp.col_kind[first:last], lp.col_y[first:last],
+                             lp.col_s[first:last], lp.col_i[first:last], lp.col_t[first:last]))
+            out(_lines(
+                last - first, "VAR ", names, numbers(lp.lb[first:last])[0],
+                numbers(lp.ub[first:last])[0],
+                [" 1" if integer else " 0" for integer in lp.is_integer[first:last]],
+                numbers(lp.obj[first:last])[1],
+            ))
+        for lo in range(0, m, _SLICE):
+            hi = min(lo + _SLICE, m)
+            out(_lines(hi - lo, "ROW ", lp.row_names[lo:hi], " ", lp.row_family[lo:hi], " ",
+                       lp.row_sense[lo:hi], numbers(lp.rhs[lo:hi])[1]))
+        row_texts = np.array([str(r) for r in range(m)], dtype=object)
+        col_texts = np.array([f" {c}" for c in range(n)], dtype=object)
+        rows, cols, vals = lp.nonzeros()
+        step = _SLICE * 16  # NZ lines are short, so a slice holds more of them
+        for lo in range(0, lp.nnz, step):
+            out(_lines(min(step, lp.nnz - lo), "NZ ", row_texts[rows[lo:lo + step]],
+                       col_texts[cols[lo:lo + step]], numbers(vals[lo:lo + step])[1]))
         out("END\n")

@@ -21,8 +21,9 @@ One rule prices a day's load at an organization, ``cheapest_split``: the
 load above existing capacity goes to extra in-house units (cost gamma, at
 most mu - c of them) when those are no dearer than overflow (cost lambda),
 and the rest to the overflow shelter. The brute-force oracle calls it;
-incumbent repair and the heuristic's per-day cost rows apply the same rule
-in bulk (``_split_table`` holds the data both read).
+incumbent repair applies the same rule in bulk to the model's C2a rhs and
+E and O columns, and the heuristic's per-day cost rows to the data that
+``_split_table`` reads from the instance.
 
 The verifier re-checks every constraint family directly against the problem
 instance (never against the matrix), so model-construction bugs cannot
@@ -55,8 +56,7 @@ from .domain import (
     demographic_compatible,
     service_offered,
 )
-from .model import (KEY_FIELDS, SENSE_EQ, SENSE_GE, SENSE_LE, LinearProgram, column_name,
-                    index_values, parse_variable_name)
+from .model import SENSE_EQ, SENSE_GE, SENSE_LE, LinearProgram, column_name, index_values
 
 STATUS_OPTIMAL = "Optimal"
 STATUS_GAP = "GapReached"
@@ -136,13 +136,7 @@ class Solution:
     def from_dict(cls, doc: Mapping) -> "Solution":
         """The solution of a parsed file; ValueError for a name no U, X, E or O column has."""
         values = {name: float(v) for name, v in dict(doc["values"]).items()}
-        for name in values:
-            kind, idx = parse_variable_name(name)
-            fields = KEY_FIELDS.get(kind)
-            if fields is None or sorted(idx) != sorted(fields) or (
-                column_name(kind, *map(idx.get, "ysit")) != name
-            ):
-                raise ValueError(f"malformed variable name {name!r}")
+        index_values(values)
         return cls(
             values=values,
             objective=float(doc["objective"]),
@@ -396,29 +390,26 @@ def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """Copy of ``x`` whose E/O values are the cheapest split of each assigned load.
 
     ``cheapest_split``'s rule over all (org, service, day) triples at once
-    (``lp.triples``): each triple's load is the sum of its X columns, which
-    is exact because X is 0/1 wherever an incumbent is repaired.
+    (``lp.triples``), with its data read from the model: a triple's
+    capacity is the rhs of its C2a row, its headroom above capacity is E's
+    upper bound, and extra units are cheap when E costs no more than O.
+    Each triple's load is the sum of its X columns, which is exact because
+    X is 0/1 wherever an incumbent is repaired.
     """
     out = x.copy()
     triples = lp.triples
-    if not len(triples.keys):
+    n = len(triples.keys)
+    if not n:
         return out
-    inst = lp.source_instance
-    org_by_id = {o.id: o for o in inst.organizations}
-    tables: dict[tuple[int, int], tuple[list[int], float]] = {}
-    cap, top = [], []
-    for s, i, t in triples.keys.tolist():
-        table = tables.get((s, i))
-        if table is None:
-            table = tables[(s, i)] = _split_table(org_by_id[s], i, inst.horizon_T)
-        cap.append(table[0][t])
-        top.append(table[1])
+    # C2a row k and the E and O columns e[0] + k and o[0] + k are triple k's
+    # (see the model module's docstring).
+    e, o = int(triples.e[0]), int(triples.o[0])
     load = np.rint(np.add.reduceat(out[triples.x], triples.start[:-1]))
-    cap = np.array(cap, dtype=float)
-    over = np.maximum(load - cap, 0.0)
-    e = np.clip(np.array(top, dtype=float) - cap, 0.0, over)
-    out[triples.e] = e
-    out[triples.o] = over - e
+    over = np.maximum(load - np.array(lp.rhs[:n]), 0.0)
+    cheap = np.array(lp.obj[e:e + n]) <= np.array(lp.obj[o:o + n])
+    extra = np.clip(np.where(cheap, np.array(lp.ub[e:e + n]), 0.0), 0.0, over)
+    out[triples.e] = extra
+    out[triples.o] = over - extra
     return out
 
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: hand-built instances, the random micro-instance pool, and
-the whole-model LP relaxation."""
+"""Shared fixtures: hand-built instances, the random micro-instance pool, the
+whole-model LP relaxation, and line-at-a-time reference writers."""
 
 from __future__ import annotations
 
@@ -38,6 +38,69 @@ def solve_lp(lp, bounds=None, time_limit=None):
     lb, ub = bounds if bounds is not None else lp.bounds_arrays()
     _, c, matrix = parts[0]
     return solver.linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
+
+
+def _fmt(v):
+    return f"{v:.12g}"
+
+
+def _field(text, width):
+    return text.ljust(width) if len(text) < width else text + " "
+
+
+def write_mps_by_line(lp, path):
+    """The MPS file of ``lp``, formatted one line at a time.
+
+    The reference that ``model.write_mps`` matches byte for byte: the same
+    sections, fields and entry order, from the model's lists.
+    """
+    names = lp.column_names()
+    entries = [[("COST", cost)] if cost != 0.0 else [] for cost in lp.obj]
+    for r, c, v in zip(*(part.tolist() for part in lp.nonzeros())):
+        entries[c].append((lp.row_names[r], v))
+    tag = {"<=": "L", ">=": "G", "=": "E"}
+    marker = "    MARKER    " + _field("'MARKER'", 25 - 14)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("NAME" + " " * 10 + "SHELTERPLAN\n")
+        fh.write("ROWS\n N  COST\n")
+        for name, sense in zip(lp.row_names, lp.row_sense):
+            fh.write(f" {tag[sense]}  {name}\n")
+        fh.write("COLUMNS\n" + marker + "'INTORG'\n")
+        for name, col in zip(names, entries):
+            for j in range(0, len(col), 2):
+                line = "    " + _field(name, 10) + _field(col[j][0], 10)
+                if j + 1 < len(col):
+                    line += _field(_fmt(col[j][1]), 15) + _field(col[j + 1][0], 10)
+                    line += _fmt(col[j + 1][1])
+                else:
+                    line += _fmt(col[j][1])
+                fh.write(line + "\n")
+        fh.write(marker + "'INTEND'\n")
+        fh.write("RHS\n")
+        for name, rhs in zip(lp.row_names, lp.rhs):
+            if rhs != 0.0:
+                fh.write("    " + _field("RHS", 10) + _field(name, 10) + _fmt(rhs) + "\n")
+        fh.write("BOUNDS\n")
+        for name, lo, hi in zip(names, lp.lb, lp.ub):
+            if lo != 0.0:
+                fh.write(" LO " + _field("BND", 10) + _field(name, 10) + _fmt(lo) + "\n")
+            fh.write(" UI " + _field("BND", 10) + _field(name, 10) + _fmt(hi) + "\n")
+        fh.write("ENDATA\n")
+
+
+def write_triplets_by_line(lp, path):
+    """The sparse-triplet file of ``lp``, one line at a time: the reference
+    that ``model.write_triplets`` matches byte for byte."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {lp.n_cols}\nNROWS {lp.n_rows}\n")
+        for name, lo, hi, integer, cost in zip(lp.column_names(), lp.lb, lp.ub, lp.is_integer,
+                                               lp.obj):
+            fh.write(f"VAR {name} {_fmt(lo)} {_fmt(hi)} {1 if integer else 0} {_fmt(cost)}\n")
+        for row in zip(lp.row_names, lp.row_family, lp.row_sense, lp.rhs):
+            fh.write(f"ROW {row[0]} {row[1]} {row[2]} {_fmt(row[3])}\n")
+        for r, c, v in zip(*(part.tolist() for part in lp.nonzeros())):
+            fh.write(f"NZ {r} {c} {_fmt(v)}\n")
+        fh.write("END\n")
 
 
 def org(

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import shelterplan
-from shelterplan import datagen, solver
+from shelterplan import datagen, model, solver
 from shelterplan.domain import (
     BED_SERVICE_ID,
     DemographicProfile,
@@ -17,7 +17,8 @@ from shelterplan.domain import (
     service_offered,
 )
 from shelterplan.model import (
-    LinearProgram, build, parse_variable_name, reachable_days, write_mps, write_triplets,
+    LinearProgram, build, index_values, parse_variable_name, reachable_days, write_mps,
+    write_triplets,
 )
 from shelterplan.solver import (
     LP_OPTIMAL,
@@ -30,7 +31,8 @@ from shelterplan.solver import (
 )
 
 from conftest import (
-    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp, youth,
+    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp,
+    write_mps_by_line, write_triplets_by_line, youth,
 )
 
 
@@ -513,6 +515,68 @@ class TestExports:
         assert sum(1 for l in lines if l.startswith("ROW ")) == nrows
         assert sum(1 for l in lines if l.startswith("NZ ")) == small_lp.nnz
 
+    @staticmethod
+    def assert_like_reference(lp, tmp_path):
+        for write, reference in ((write_mps, write_mps_by_line),
+                                 (write_triplets, write_triplets_by_line)):
+            ours, theirs = tmp_path / "ours", tmp_path / "theirs"
+            write(lp, str(ours))
+            reference(lp, str(theirs))
+            assert ours.read_bytes() == theirs.read_bytes(), write.__name__
+
+    @pytest.mark.parametrize("size", [1, 3, model._SLICE])
+    def test_hand_built_lp_like_reference(self, monkeypatch, tmp_path, size):
+        monkeypatch.setattr(model, "_SLICE", size)
+        lp = export_lp()
+        self.assert_like_reference(lp, tmp_path)
+        write_mps(lp, str(tmp_path / "model.mps"))
+        text = (tmp_path / "model.mps").read_text()
+        for part in (" LO ", "_s1_i1_t1 ", "U_y1_s1_i1 ", "0.333333333333 ", "-0.333333333333 ",
+                     "1.23456789012e+14 ", "1e-300", " -0 ", "A_ROW_LONGER_THAN_TEN "):
+            assert part in text
+
+    @pytest.mark.parametrize("size", [1, 3, model._SLICE])
+    def test_lp_without_rows_like_reference(self, monkeypatch, tmp_path, size):
+        monkeypatch.setattr(model, "_SLICE", size)
+        lp = LinearProgram()
+        lp.add_cols("X", 4, y=1, s=1, i=1, t=[1, 2, 3, 4], obj=[0.0, 2.0, -0.0, 0.5], lb=0.0,
+                    ub=1.0, integer=True)
+        self.assert_like_reference(lp, tmp_path)
+        self.assert_like_reference(LinearProgram(), tmp_path)
+
+    @pytest.mark.parametrize("size", [1, 3, model._SLICE])
+    def test_pinned_model_like_reference(self, monkeypatch, generated_lp, tmp_path, size):
+        monkeypatch.setattr(model, "_SLICE", size)
+        self.assert_like_reference(generated_lp, tmp_path)
+
+    def test_desk_pool_model_like_reference(self, tmp_path):
+        # 3023 is one of the benchmark's desk instances (30 youth, 60 days).
+        self.assert_like_reference(build(datagen.generate_instance(
+            datagen.GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3023)
+        )), tmp_path)
+
+
+def export_lp():
+    """A hand-built LP with the writers' edge cases.
+
+    Columns: a costed one with four entries (an even count) and a negative
+    lower bound; one with no entry and no cost; one costed -0.0, which has
+    no cost entry; one costed with three entries (an odd count) and a tiny
+    lower bound; and one with its cost as its only entry. Names are shorter
+    than, as long as and longer than their 10-wide field, and number texts
+    shorter than, as long as and longer than their 15-wide one.
+    """
+    lp = LinearProgram()
+    lp.add_cols("", 1, y=None, s=1, i=1, t=1, obj=1 / 3, lb=-2.0, ub=5.0, integer=True)
+    lp.add_cols("U", 1, y=1, s=1, i=1, t=None, obj=0.0, lb=0.0, ub=1.0, integer=True)
+    lp.add_cols("X", 3, y=1, s=12, i=3, t=[4, 5, 6], obj=[-0.0, 123456789012345.0, -1 / 3],
+                lb=[0.0, 1e-300, 0.0], ub=[1.0, 2.0, 123456789012345.0], integer=True)
+    lp.add_row("A", "2a", "<=", 0.0, [0, 2], [1.0, -0.0])
+    lp.add_row("ROW_TEN_10", "4b", "=", 123456789012345.0, [0, 3], [-1 / 3, 1 / 3])
+    lp.add_row("A_ROW_LONGER_THAN_TEN", "3b", ">=", -1 / 3, [3, 0], [-1.0, 123456789012345.0])
+    lp.add_row("B", "4c", "<=", 1.0, [2], [2.0])
+    return lp
+
 
 def layout_instance():
     """Stay needs, two needs that are no stay, and a need that no organization offers.
@@ -569,6 +633,21 @@ class TestColumnLayout:
         for inst in micro_pool:
             self.assert_layout(build(inst))
 
+    def test_value_names_index_back_to_their_fields(self, micro_pool):
+        # index_values reads every U, X, E and O name that column_name
+        # writes back into that column's index values.
+        for inst in micro_pool[:10] + [layout_instance()]:
+            lp = build(inst)
+            cols = [col for col, kind in enumerate(lp.col_kind) if kind != "W"]
+            tables = index_values({lp.column_name(col): float(col) for col in cols})
+            assert sum(map(len, tables.values())) == len(cols)
+            for col in cols:
+                kind = lp.col_kind[col]
+                fields = dict(zip("ysit", (lp.col_y[col], lp.col_s[col], lp.col_i[col],
+                                           lp.col_t[col])))
+                key = tuple(fields[f] for f in model.KEY_FIELDS[kind])
+                assert tables[kind][key] == float(col)
+
     def test_tree_pool_3081(self):
         self.assert_layout(build(datagen.generate_instance(
             datagen.GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3081)
@@ -585,22 +664,35 @@ class TestColumnLayout:
         self.assert_layout(lp)
 
 
-def test_full_scale_build_fits_the_memory_budget():
-    # The paper's full scale (500 youth, 180 days): build the model and cut
-    # the service blocks in a fresh interpreter, within 1 GiB of peak RSS.
-    code = (
-        "import resource\n"
-        "from shelterplan import datagen, solver\n"
-        "from shelterplan.model import build\n"
-        "inst = datagen.generate_instance(datagen.GenerationConfig(seed=7, bed_scale=1.0))\n"
-        "solver._ServiceBlocks(build(inst))\n"
+def fresh_peak_mib(code):
+    """Peak RSS in MiB of a fresh interpreter that runs ``code``."""
+    code = "import resource\n" + code + (
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
     )
     src = os.path.dirname(os.path.dirname(shelterplan.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    peak_mib = int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+    return int(out.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
+FULL_SCALE = (
+    "from shelterplan import datagen, solver\n"
+    "from shelterplan.model import build\n"
+    "inst = datagen.generate_instance(datagen.GenerationConfig(seed=7, bed_scale=1.0))\n"
+)
+
+
+def test_full_scale_build_fits_the_memory_budget():
+    # The paper's full scale (500 youth, 180 days): build the model and cut
+    # the service blocks in a fresh interpreter, within 1 GiB of peak RSS.
+    peak_mib = fresh_peak_mib(FULL_SCALE + "solver._ServiceBlocks(build(inst))\n")
+    assert peak_mib < 1024, f"peak RSS {peak_mib:.0f} MiB"
+
+
+def test_full_scale_mps_export_fits_the_memory_budget():
+    # Build the full-scale model and write its MPS file, within 1 GiB.
+    peak_mib = fresh_peak_mib(FULL_SCALE + "import os\nbuild(inst).write_mps(os.devnull)\n")
     assert peak_mib < 1024, f"peak RSS {peak_mib:.0f} MiB"
 
 

@@ -801,6 +801,17 @@ class TestVerifier:
         assert report.family_ok["2a"] is False
         assert report.first_violation["2a"].startswith("s=1,i=1")
 
+    @pytest.mark.parametrize("name", ["X_y1_s1", "Q", "X_y1_s1_i1_t1_z3", "U_y1_s1_i1_t4"])
+    def test_malformed_name_raises(self, solved, name):
+        # The rule Solution.from_dict applies to a file: a missing index,
+        # no index at all, an extra index, and an index the kind lacks.
+        inst, sol = solved
+        values = {**sol.values, name: 1.0}
+        with pytest.raises(ValueError, match="malformed variable name"):
+            verify(inst, values)
+        with pytest.raises(ValueError, match="malformed variable name"):
+            solver.Solution.from_dict({**sol.to_dict(), "values": values})
+
 
 class TestBruteForce:
     def test_tiny_hand_case(self):
