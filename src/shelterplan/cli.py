@@ -394,7 +394,7 @@ def report(instance_path, solution_path, out_dir) -> None:
 @click.option("--seed-base", type=int, default=11, show_default=True)
 @click.option("--single-seed", is_flag=True, help="One replication (figure-style output).")
 @click.option("--full-scale", is_flag=True,
-              help="Full-scale parameters (500 youth, 180 days); emits MPS files instead of solving.")
+              help="Full-scale parameters (500 youth, 180 days) instead of desk scale.")
 @click.option("--gap", type=float, default=0.01, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="scenarios_out", show_default=True)
 def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir) -> None:
@@ -405,31 +405,11 @@ def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir)
     base = FULL_BASE if full_scale else DESK_BASE
     specs = experiment_grid(base, seed_tuple)
     os.makedirs(out_dir, exist_ok=True)
-    if full_scale:
-        tables = load_default_tables()
-        outputs = []
-        for spec in specs:
-            for seed in spec.seeds:
-                config = spec.config(base, seed)
-                instance = generate_instance(config, tables)
-                ipath = os.path.join(out_dir, f"{spec.name}_seed{seed}.instance.json")
-                save_instance(instance, ipath)
-                lp = build(instance)
-                mpath = os.path.join(out_dir, f"{spec.name}_seed{seed}.mps")
-                lp.write_mps(mpath)
-                outputs.extend([ipath, mpath])
-                click.echo(f"{spec.name} seed {seed}: wrote MPS ({lp.n_cols} cols)")
-        _write_manifest(
-            os.path.join(out_dir, "scenario.manifest.json"), "scenario",
-            {"grid": grid_name, "full_scale": True, "seeds": list(seed_tuple)},
-            outputs, time.monotonic() - t0, "ok",
-        )
-        return
     reports = run_grid(specs, base, SolverConfig(rel_gap=gap))
     paths = write_scenario_outputs(reports, out_dir)
     _write_manifest(
         os.path.join(out_dir, "scenario.manifest.json"), "scenario",
-        {"grid": grid_name, "full_scale": False, "seeds": list(seed_tuple), "gap": gap},
+        {"grid": grid_name, "full_scale": full_scale, "seeds": list(seed_tuple), "gap": gap},
         paths, time.monotonic() - t0, "ok",
     )
     for rep in reports:

@@ -43,9 +43,6 @@ ATTRIBUTES = (
     "ht_victim",
 )
 
-AGE_BITS = (0, 1)
-GENDER_BITS = (2, 3, 4, 5, 6, 7, 8)
-
 INTENSITIES = ("Single", "Low", "Medium", "High")
 
 # Organization kinds.
@@ -170,15 +167,6 @@ class DemographicProfile:
     @classmethod
     def all_ones(cls, n: int = len(ATTRIBUTES)) -> "DemographicProfile":
         return cls(bits=(1,) * n)
-
-    def validate_youth(self) -> None:
-        """Check the exactly-one-age-band / exactly-one-gender invariant."""
-        if len(self.bits) != len(ATTRIBUTES):
-            raise DomainError("youth profile must cover the full attribute set")
-        if sum(self.bits[i] for i in AGE_BITS) != 1:
-            raise DomainError("youth must set exactly one age-band bit")
-        if sum(self.bits[i] for i in GENDER_BITS) != 1:
-            raise DomainError("youth must set exactly one gender bit")
 
 
 def demographic_compatible(youth: DemographicProfile, org: DemographicProfile) -> bool:

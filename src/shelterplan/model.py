@@ -98,15 +98,6 @@ def column_name(kind: str, y: int | None, s: int, i: int, t: int | None) -> str:
     return f"{kind}_y{y}_s{s}_i{i}_t{t}"
 
 
-def parse_variable_name(name: str) -> tuple[str, dict[str, int]]:
-    """Inverse of column_name: kind plus index dict; ValueError for a part without a number."""
-    kind, _, rest = name.partition("_")
-    indices: dict[str, int] = {}
-    for part in rest.split("_"):
-        indices[part[:1]] = int(part[1:])
-    return kind, indices
-
-
 # The names column_name writes for the kinds that key values: the kind,
 # then each index letter with an integer as str writes one.
 _VALUE_NAMES = {
@@ -167,9 +158,9 @@ class LinearProgram:
     per-row name, family, sense and rhs. The nonzeros are typed arrays
     (int32 rows and columns, float64 values), appended one chunk per
     ``add_rows`` call and joined on the first read after it
-    (``nonzeros``). ``add_row`` appends a one-row chunk, so a hand-built LP
-    and a generated one share the same storage. Only a built model fills
-    ``needs`` and ``triples`` (see the module docstring).
+    (``nonzeros``); a hand-built LP and a generated one share that storage.
+    Only a built model fills ``needs`` and ``triples`` (see the module
+    docstring).
     """
 
     def __init__(self, instance: ProblemInstance | None = None):
@@ -246,18 +237,6 @@ class LinearProgram:
                 chunks[-self._fresh:] = [np.concatenate(chunks[-self._fresh:])]
             self._fresh = self._fresh_nnz = 0
 
-    def add_row(
-        self,
-        name: str,
-        family: str,
-        sense: str,
-        rhs: float,
-        cols: list[int] | np.ndarray,
-        vals: list[float] | np.ndarray,
-    ) -> int:
-        self.add_rows([name], family, sense, [rhs], [len(cols)], cols, vals)
-        return len(self.row_names) - 1
-
     def nonzeros(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row (int32), column (int32) and value (float64) of every nonzero, in row order."""
         for chunks, dtype in zip(self._chunks, (np.int32, np.int32, np.float64)):
@@ -297,10 +276,6 @@ class LinearProgram:
     def column_name(self, col: int) -> str:
         return column_name(self.col_kind[col], self.col_y[col], self.col_s[col], self.col_i[col],
                            self.col_t[col])
-
-    def column_names(self) -> list[str]:
-        return list(map(column_name, self.col_kind, self.col_y, self.col_s, self.col_i,
-                        self.col_t))
 
     # -- scipy matrices -----------------------------------------------------
 

@@ -20,10 +20,12 @@ integral point of one block replaces that block's part of the incumbent.
 One rule prices a day's load at an organization, ``cheapest_split``: the
 load above existing capacity goes to extra in-house units (cost gamma, at
 most mu - c of them) when those are no dearer than overflow (cost lambda),
-and the rest to the overflow shelter. The brute-force oracle calls it;
-incumbent repair applies the same rule in bulk to the model's C2a rhs and
-E and O columns, and the heuristic's per-day cost rows to the data that
-``_split_table`` reads from the instance.
+and the rest to the overflow shelter. The brute-force oracle calls it on
+the instance. Inside the search the model is the only source of its data:
+``_split_prices`` reads each (org, service, day) triple's capacity, top
+and unit prices from the C2a rhs and the X, E and O columns, and both
+incumbent repair and the heuristic's per-day cost rows apply the rule to
+what it reads.
 
 The verifier re-checks every constraint family directly against the problem
 instance (never against the matrix), so model-construction bugs cannot
@@ -373,41 +375,47 @@ def cheapest_split(org: OrganizationProfile, i: int, t: int, load: int) -> tuple
     return 0, over
 
 
-def _split_table(org: OrganizationProfile, i: int, horizon: int) -> tuple[list[int], float]:
-    """``cheapest_split``'s data for service i at ``org``: capacity by day, and a top.
+def _split_prices(lp: LinearProgram) -> tuple[np.ndarray, ...]:
+    """``cheapest_split``'s data for each triple k of ``lp.triples``, read from the model.
 
-    The capacity list is indexed by day (index 0 is unused). Extra units
-    cover the load above capacity while the load stays below the top: mu
-    when gamma <= lambda, else -inf, so that no extra unit is bought.
+    Returns five arrays over the triples: the capacity, the top, and the
+    price of one more unit below capacity, below the top and above both.
+    The capacity is the rhs of C2a row k. Extra units cover the load above
+    it while the load stays below the top: capacity plus E's upper bound
+    when E costs no more than O, else -inf, so that no extra unit is
+    bought. The prices are r, r + gamma and r + lambda, with r the cost of
+    the triple's X columns and gamma and lambda those of its E and O.
     """
-    c = org.capacity_c.get(i, 0)  # as ``org.capacity`` reads it
-    caps = [0, *c] if isinstance(c, tuple) else [c] * (horizon + 1)
-    cheap = org.cost_expand_gamma.get(i, 0.0) <= org.cost_overflow_lambda.get(i, 0.0)
-    return caps, org.headroom(i) if cheap else -math.inf
+    triples = lp.triples
+    n = len(triples.keys)
+    # C2a row k and the E and O columns e[0] + k and o[0] + k are triple k's
+    # (see the model module's docstring).
+    e, o = (int(triples.e[0]), int(triples.o[0])) if n else (0, 0)
+    cap = np.array(lp.rhs[:n], dtype=float)
+    gamma = np.array(lp.obj[e:e + n], dtype=float)
+    lam = np.array(lp.obj[o:o + n], dtype=float)
+    top = np.where(gamma <= lam, cap + np.array(lp.ub[e:e + n], dtype=float), -np.inf)
+    r = np.array([lp.obj[col] for col in triples.x[triples.start[:-1]].tolist()], dtype=float)
+    return cap, top, r, r + gamma, r + lam
 
 
 def repair_expansion(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """Copy of ``x`` whose E/O values are the cheapest split of each assigned load.
 
     ``cheapest_split``'s rule over all (org, service, day) triples at once
-    (``lp.triples``), with its data read from the model: a triple's
-    capacity is the rhs of its C2a row, its headroom above capacity is E's
-    upper bound, and extra units are cheap when E costs no more than O.
-    Each triple's load is the sum of its X columns, which is exact because
-    X is 0/1 wherever an incumbent is repaired.
+    (``lp.triples``), on the model's data (``_split_prices``): the extra
+    units are the load above capacity, up to the top. Each triple's load
+    is the sum of its X columns, which is exact because X is 0/1 wherever
+    an incumbent is repaired.
     """
     out = x.copy()
     triples = lp.triples
-    n = len(triples.keys)
-    if not n:
+    if not len(triples.keys):
         return out
-    # C2a row k and the E and O columns e[0] + k and o[0] + k are triple k's
-    # (see the model module's docstring).
-    e, o = int(triples.e[0]), int(triples.o[0])
+    cap, top = _split_prices(lp)[:2]
     load = np.rint(np.add.reduceat(out[triples.x], triples.start[:-1]))
-    over = np.maximum(load - np.array(lp.rhs[:n]), 0.0)
-    cheap = np.array(lp.obj[e:e + n]) <= np.array(lp.obj[o:o + n])
-    extra = np.clip(np.where(cheap, np.array(lp.ub[e:e + n]), 0.0), 0.0, over)
+    over = np.maximum(load - cap, 0.0)
+    extra = np.clip(top - cap, 0.0, over)
     out[triples.e] = extra
     out[triples.o] = over - extra
     return out
@@ -442,73 +450,83 @@ def decompose_objective(lp: LinearProgram, x: np.ndarray) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 
+def _shared_list(values: np.ndarray) -> list:
+    """``values.tolist()`` with one object for each distinct value.
+
+    ``tolist`` makes a Python float per element; the triples' data repeats
+    few values, so sharing them keeps the tracker's lists to pointers.
+    """
+    distinct, index = np.unique(values, return_inverse=True)
+    return np.array(distinct.tolist(), dtype=object)[index].tolist()
+
+
 class _LoadTracker:
     """Marginal service cost per (org, service, day) given committed loads.
 
-    Each (org, service) pair keeps a cost row: a list indexed by day that
-    holds the cost of one more unit at the day's current load. The row is
-    filled on first use from the pair's price table and re-priced on the
-    days that ``commit`` changes.
+    Each (org, service) pair of ``lp.triples`` keeps a cost row: a list
+    indexed by day that holds the cost of one more unit at the day's
+    current load, re-priced on the days that ``commit`` changes. Only the
+    pair's triple days have a price; every other day, where the pair has no
+    X column, holds inf.
 
-    The price follows ``cheapest_split``: the next unit costs r while the
-    load is below the day's capacity c, then r + gamma while an extra unit
-    fits (load below mu, and gamma <= lambda), else r + lambda. Each price
-    is ``r + (gamma * de + lambda * do)`` for the unit change (de, do) of
-    the split, so a unit costs exactly gamma or lambda on top of r.
+    The price follows ``cheapest_split`` on the model's data
+    (``_split_prices``): the next unit costs r while the load is below the
+    triple's capacity, then r + gamma while it is below the top, else
+    r + lambda.
     """
 
-    def __init__(self, instance: ProblemInstance):
-        self.org_by_id = {o.id: o for o in instance.organizations}
-        self.horizon = instance.horizon_T
-        # (org, service) -> (capacity by day, top of the extra units (see
-        # ``_split_table``), prices for (de, do) = (0, 0), (1, 0), (0, 1)).
-        self._prices: dict[tuple[int, int], tuple[list[int], float, tuple[float, ...]]] = {}
-        self._loads: dict[tuple[int, int], list[int]] = {}
+    def __init__(self, lp: LinearProgram):
+        keys = lp.triples.keys
+        n = len(keys)
+        self._cap, self._top, self._p_in, self._p_extra, self._p_over = map(
+            _shared_list, _split_prices(lp))
+        self._loads = [0] * n
+        # Triples are sorted by (s, i, t), so each pair's triples are a run.
+        new = np.ones(n, dtype=bool)
+        new[1:] = np.any(keys[1:, :2] != keys[:-1, :2], axis=1)
+        cuts = np.append(np.flatnonzero(new), n).tolist()
+        days = keys[:, 2].tolist()
+        width = max(days, default=0) + 1
         self._rows: dict[tuple[int, int], list[float]] = {}
+        # Each day's triple; n, past every triple, on a day without one.
+        self._triple: dict[tuple[int, int], list[int]] = {}
+        for (s, i), lo, hi in zip(keys[new, :2].tolist(), cuts, cuts[1:]):
+            row, triple = [math.inf] * width, [n] * width
+            for k in range(lo, hi):
+                row[days[k]] = self._price(k, 0)
+                triple[days[k]] = k
+            self._rows[(s, i)], self._triple[(s, i)] = row, triple
 
-    def _price(self, s: int, i: int, t: int, load: int) -> float:
-        cap, top, (p_in, p_extra, p_over) = self._prices[(s, i)]
-        if load < cap[t]:
-            return p_in
-        return p_extra if load < top else p_over
+    def _price(self, k: int, load: int) -> float:
+        """The cost of one more unit on triple k at ``load``."""
+        if load < self._cap[k]:
+            return self._p_in[k]
+        return self._p_extra[k] if load < self._top[k] else self._p_over[k]
 
     def row(self, s: int, i: int) -> list[float]:
-        """The cost row of (s, i), indexed by day (index 0 is unused)."""
-        row = self._rows.get((s, i))
-        if row is None:
-            org = self.org_by_id[s]
-            r = org.cost_assign_r.get(i, 0.0)
-            gamma = org.cost_expand_gamma.get(i, 0.0)
-            lam = org.cost_overflow_lambda.get(i, 0.0)
-            self._prices[(s, i)] = (
-                *_split_table(org, i, self.horizon),
-                tuple(r + (gamma * de + lam * do) for de, do in ((0, 0), (1, 0), (0, 1))),
-            )
-            self._loads[(s, i)] = [0] * (self.horizon + 1)
-            row = self._rows[(s, i)] = [self._price(s, i, t, 0) for t in range(self.horizon + 1)]
-        return row
+        """The cost row of (s, i), indexed by day."""
+        return self._rows[(s, i)]
 
     def commit(self, s: int, i: int, days: Iterable[int], sign: int = 1) -> None:
-        row, loads = self.row(s, i), self._loads[(s, i)]
+        row, triple, loads = self._rows[(s, i)], self._triple[(s, i)], self._loads
         for t in days:
-            loads[t] += sign
-            row[t] = self._price(s, i, t, loads[t])
+            k = triple[t]
+            loads[k] += sign
+            row[t] = self._price(k, loads[k])
 
 
 def _greedy_schedule(
-    tracker: _LoadTracker,
-    s: int,
-    i: int,
+    row: list[float],
     need,
     gaps: tuple[int, int],
     domain: Mapping[int, object],
 ) -> tuple[float, tuple[int, ...]] | None:
-    """Cheapest schedule of ``need`` at organization s, or None if it has none.
+    """Cheapest schedule of ``need`` on the cost row ``row``, or None if it has none.
 
     A schedule is f days of ``domain`` (keyed by day, in increasing order),
     the first in [a, b] and each next one lo to hi days later, where
-    ``gaps`` = (lo, hi). Its cost is the sum of its days' entries in the
-    tracker's cost row of (s, i), added in day order. When a start fixes
+    ``gaps`` = (lo, hi). Its cost is the sum of its days' entries in
+    ``row`` (indexed by day), added in day order. When a start fixes
     the schedule (f == 1 or lo == hi), each start is priced, and ties go to
     the earliest. Otherwise a dynamic program finds it: occurrence j on day
     t costs row[t] plus the least cost of occurrence j - 1 on a day in
@@ -516,7 +534,6 @@ def _greedy_schedule(
     j - 1 can fall on. Ties go to the earliest last day, then to the
     earliest day before each chosen one.
     """
-    row = tracker.row(s, i)
     a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
     lo, hi = gaps
     if f == 1 or lo == hi:
@@ -581,7 +598,7 @@ def schedule_heuristic(
     """
     inst = lp.source_instance
     catalog = inst.services
-    tracker = _LoadTracker(inst)
+    tracker = _LoadTracker(lp)
     chosen: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     if initial:
         for key, (s, days) in initial.items():
@@ -607,7 +624,7 @@ def schedule_heuristic(
                 tracker.commit(s_old, need.service, days_old, sign=-1)
             best = None
             for s in rec.orgs:
-                res = _greedy_schedule(tracker, s, need.service, need, gaps, position)
+                res = _greedy_schedule(tracker.row(s, need.service), need, gaps, position)
                 if res is None:
                     continue
                 cost, days = res

@@ -1,5 +1,6 @@
 """Shared fixtures: hand-built instances, the random micro-instance pool, the
-whole-model LP relaxation, and line-at-a-time reference writers."""
+whole-model LP relaxation, name and row helpers for hand-built models, and
+line-at-a-time reference writers."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ from shelterplan.domain import (
     ServiceNeed,
     YouthProfile,
 )
+from shelterplan.model import column_name
 
 N_ATTR = 4  # compact attribute set for hand-built instances
 
@@ -40,6 +42,26 @@ def solve_lp(lp, bounds=None, time_limit=None):
     return solver.linprog(c, **matrix, lb=lb, ub=ub, time_limit=time_limit)
 
 
+def add_row(lp, name, family, sense, rhs, cols, vals):
+    """Append one row to ``lp``: a one-row ``add_rows`` call."""
+    lp.add_rows([name], family, sense, [rhs], [len(cols)], cols, vals)
+
+
+def column_names(lp):
+    """The name of every column of ``lp``, in column order."""
+    return list(map(column_name, lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t))
+
+
+def parse_variable_name(name):
+    """Inverse of ``model.column_name``: kind plus index dict; ValueError for a
+    part without a number."""
+    kind, _, rest = name.partition("_")
+    indices = {}
+    for part in rest.split("_"):
+        indices[part[:1]] = int(part[1:])
+    return kind, indices
+
+
 def _fmt(v):
     return f"{v:.12g}"
 
@@ -54,7 +76,7 @@ def write_mps_by_line(lp, path):
     The reference that ``model.write_mps`` matches byte for byte: the same
     sections, fields and entry order, from the model's lists.
     """
-    names = lp.column_names()
+    names = column_names(lp)
     entries = [[("COST", cost)] if cost != 0.0 else [] for cost in lp.obj]
     for r, c, v in zip(*(part.tolist() for part in lp.nonzeros())):
         entries[c].append((lp.row_names[r], v))
@@ -93,7 +115,7 @@ def write_triplets_by_line(lp, path):
     that ``model.write_triplets`` matches byte for byte."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"SHELTERPLAN-SPARSE 1\nMINIMIZE\nNVARS {lp.n_cols}\nNROWS {lp.n_rows}\n")
-        for name, lo, hi, integer, cost in zip(lp.column_names(), lp.lb, lp.ub, lp.is_integer,
+        for name, lo, hi, integer, cost in zip(column_names(lp), lp.lb, lp.ub, lp.is_integer,
                                                lp.obj):
             fh.write(f"VAR {name} {_fmt(lo)} {_fmt(hi)} {1 if integer else 0} {_fmt(cost)}\n")
         for row in zip(lp.row_names, lp.row_family, lp.row_sense, lp.rhs):

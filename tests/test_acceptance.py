@@ -28,7 +28,7 @@ from shelterplan.domain import (
     YouthProfile,
     HOUSING,
 )
-from shelterplan.model import build, parse_variable_name
+from shelterplan.model import build
 from shelterplan.scenarios import DESK_BASE, experiment_grid, run_grid
 from shelterplan.solver import (
     STATUS_GAP,
@@ -39,7 +39,9 @@ from shelterplan.solver import (
     verify,
 )
 
-from conftest import bed_catalog, bed_need, make_instance, org, psi_org, youth
+from conftest import (
+    bed_catalog, bed_need, make_instance, org, parse_variable_name, psi_org, youth,
+)
 
 
 def report_line(n, text):

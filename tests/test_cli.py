@@ -10,9 +10,12 @@ import pytest
 from click.testing import CliRunner
 
 import shelterplan
+from shelterplan import cli
 from shelterplan.cli import main
 from shelterplan.domain import BED_SERVICE_ID
-from shelterplan.model import parse_variable_name
+from shelterplan.scenarios import DESK_BASE, FULL_BASE
+
+from conftest import parse_variable_name
 
 
 def digest(path):
@@ -347,7 +350,7 @@ class TestBuildAndReport:
 
 
     def test_report_parses_the_solution_once(self, runner, tmp_path, monkeypatch):
-        from shelterplan import cli, scenarios
+        from shelterplan import scenarios
 
         calls = []
         real = scenarios._solution_tables
@@ -381,6 +384,7 @@ class TestScenario:
             base_row = next(r for r in rows[1:] if r[0] == "base")
             assert float(base_row[6]) == 0.0  # overflow-cost delta of base vs itself
 
+    @pytest.mark.full_scale
     def test_full_scale_generation(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(
@@ -392,6 +396,25 @@ class TestScenario:
             doc = json.load(open("full.json"))
             assert len(doc["youths"]) == 500
             assert doc["horizon_T"] == 180
+
+
+    def test_full_scale_takes_the_grid_path(self, runner, tmp_path, monkeypatch):
+        # --full-scale changes only the base config: both runs go through
+        # run_grid and write_scenario_outputs, and neither writes an MPS file.
+        bases = []
+        monkeypatch.setattr(cli, "run_grid", lambda specs, base, config: bases.append(base) or [])
+        manifests = []
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            for flags in ([], ["--full-scale"]):
+                result = runner.invoke(main, ["scenario", "--single-seed", "--out-dir", "sc",
+                                              *flags])
+                assert result.exit_code == 0, result.output
+                assert not [f for f in os.listdir("sc") if f.endswith(".mps")]
+                manifests.append(json.load(open("sc/scenario.manifest.json")))
+        assert bases == [DESK_BASE, FULL_BASE]
+        desk, full = (doc["args"] for doc in manifests)
+        assert desk["gap"] == 0.01
+        assert full == {**desk, "full_scale": True}
 
 
 class TestDeterminism:

@@ -17,8 +17,7 @@ from shelterplan.domain import (
     service_offered,
 )
 from shelterplan.model import (
-    LinearProgram, build, index_values, parse_variable_name, reachable_days, write_mps,
-    write_triplets,
+    LinearProgram, build, index_values, reachable_days, write_mps, write_triplets,
 )
 from shelterplan.solver import (
     LP_OPTIMAL,
@@ -31,8 +30,8 @@ from shelterplan.solver import (
 )
 
 from conftest import (
-    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp,
-    write_mps_by_line, write_triplets_by_line, youth,
+    add_row, bed_catalog, bed_need, column_names, make_instance, micro_instance, org,
+    parse_variable_name, psi_org, solve_lp, write_mps_by_line, write_triplets_by_line, youth,
 )
 
 
@@ -281,7 +280,7 @@ class TestPeriodicityRows:
             [org(1), psi_org(2, [1])],
         )
         lp = build(inst)
-        w = [name for name, kind in zip(lp.column_names(), lp.col_kind) if kind == "W"]
+        w = [name for name, kind in zip(column_names(lp), lp.col_kind) if kind == "W"]
         assert w == ["W_y1_s1_i1_t1", "W_y1_s1_i1_t2", "W_y1_s2_i1_t1", "W_y1_s2_i1_t2"]
         assert not any(name.startswith(("C4bg", "C4bm")) for name in lp.row_names)
         # W implies the stay's count, window and link rows.
@@ -358,12 +357,12 @@ class TestBuild:
                 10, bed_catalog(), base_youths + [youth(2, 2, [bed_need(3, 2, 4)])], orgs
             )
         )
-        assert set(small.column_names()) <= set(bigger.column_names())
+        assert set(column_names(small)) <= set(column_names(bigger))
 
         tightened = build(
             make_instance(10, bed_catalog(), [youth(1, 1, [bed_need(3, 1, 2)])], orgs)
         )
-        assert set(tightened.column_names()) <= set(small.column_names())
+        assert set(column_names(tightened)) <= set(column_names(small))
 
 
 class TestSecondOpinion:
@@ -477,7 +476,7 @@ class TestExports:
         path = tmp_path / "model.mps"
         write_mps(lp, str(path))
         entries, rhs, lower, upper = read_mps(path)
-        names = lp.column_names()
+        names = column_names(lp)
         by_col = {}
         for r, c, v in zip(*lp.nonzeros()):
             by_col.setdefault(c, []).append((lp.row_names[r], v))
@@ -571,10 +570,10 @@ def export_lp():
     lp.add_cols("U", 1, y=1, s=1, i=1, t=None, obj=0.0, lb=0.0, ub=1.0, integer=True)
     lp.add_cols("X", 3, y=1, s=12, i=3, t=[4, 5, 6], obj=[-0.0, 123456789012345.0, -1 / 3],
                 lb=[0.0, 1e-300, 0.0], ub=[1.0, 2.0, 123456789012345.0], integer=True)
-    lp.add_row("A", "2a", "<=", 0.0, [0, 2], [1.0, -0.0])
-    lp.add_row("ROW_TEN_10", "4b", "=", 123456789012345.0, [0, 3], [-1 / 3, 1 / 3])
-    lp.add_row("A_ROW_LONGER_THAN_TEN", "3b", ">=", -1 / 3, [3, 0], [-1.0, 123456789012345.0])
-    lp.add_row("B", "4c", "<=", 1.0, [2], [2.0])
+    add_row(lp, "A", "2a", "<=", 0.0, [0, 2], [1.0, -0.0])
+    add_row(lp, "ROW_TEN_10", "4b", "=", 123456789012345.0, [0, 3], [-1 / 3, 1 / 3])
+    add_row(lp, "A_ROW_LONGER_THAN_TEN", "3b", ">=", -1 / 3, [3, 0], [-1.0, 123456789012345.0])
+    add_row(lp, "B", "4c", "<=", 1.0, [2], [2.0])
     return lp
 
 
@@ -683,6 +682,7 @@ FULL_SCALE = (
 )
 
 
+@pytest.mark.full_scale
 def test_full_scale_build_fits_the_memory_budget():
     # The paper's full scale (500 youth, 180 days): build the model and cut
     # the service blocks in a fresh interpreter, within 1 GiB of peak RSS.
@@ -690,6 +690,7 @@ def test_full_scale_build_fits_the_memory_budget():
     assert peak_mib < 1024, f"peak RSS {peak_mib:.0f} MiB"
 
 
+@pytest.mark.full_scale
 def test_full_scale_mps_export_fits_the_memory_budget():
     # Build the full-scale model and write its MPS file, within 1 GiB.
     peak_mib = fresh_peak_mib(FULL_SCALE + "import os\nbuild(inst).write_mps(os.devnull)\n")
@@ -707,8 +708,8 @@ def row_by_row(lp):
     bounds = np.searchsorted(rows, np.arange(lp.n_rows + 1)).tolist()
     for r in range(lp.n_rows):
         lo, hi = bounds[r], bounds[r + 1]
-        copy.add_row(lp.row_names[r], lp.row_family[r], lp.row_sense[r], lp.rhs[r],
-                     cols[lo:hi].tolist(), vals[lo:hi].tolist())
+        add_row(copy, lp.row_names[r], lp.row_family[r], lp.row_sense[r], lp.rhs[r],
+                cols[lo:hi].tolist(), vals[lo:hi].tolist())
     return copy
 
 
@@ -718,11 +719,11 @@ class TestStorage:
         lp = LinearProgram()
         lp.add_cols("X", 6, y=1, s=1, i=[1, 1, 1, 2, 2, 2], t=[1, 2, 3] * 2,
                     obj=[-3.0, -2.0, -1.0, 0.0, 1.0, 2.0], lb=0.0, ub=1.0, integer=True)
-        lp.add_row("A", "2a", "<=", 2.0, [0, 2, 1], [1.0, 1.0, 1.0])
+        add_row(lp, "A", "2a", "<=", 2.0, [0, 2, 1], [1.0, 1.0, 1.0])
         lp.add_rows(["B", "C", "D"], "4b", "=", [1.0, 0.0, 1.0], [2, 0, 3],
                     np.array([3, 4, 5, 4, 3]), np.array([1.0, -1.0, 1.0, 2.0, 0.5]))
         lp.nonzeros()
-        lp.add_row("E", "3b", ">=", 1.0, [1, 0], [1.0, 1.0])
+        add_row(lp, "E", "3b", ">=", 1.0, [1, 0], [1.0, 1.0])
         lp.add_rows(["F", "G"], "4c", "<=", [1.0, 1.0], [2, 1], [0, 1, 2], [1.0, 1.0, -1.0])
         return lp
 

@@ -30,7 +30,7 @@ from shelterplan.solver import (
 )
 
 from conftest import (
-    bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp, youth,
+    add_row, bed_catalog, bed_need, make_instance, micro_instance, org, psi_org, solve_lp, youth,
 )
 
 
@@ -42,7 +42,7 @@ def hand_lp():
     """
     lp = LinearProgram()
     lp.add_cols("X", 3, y=1, s=1, i=1, t=[1, 2, 3], obj=-1.0, lb=0.0, ub=1.0, integer=False)
-    lp.add_row("CAP", "2a", "<=", 1.0, [0, 1, 2], [1.0, 1.0, 1.0])
+    add_row(lp, "CAP", "2a", "<=", 1.0, [0, 1, 2], [1.0, 1.0, 1.0])
     return lp
 
 
@@ -90,13 +90,13 @@ def unbounded_lp():
     lp = LinearProgram()
     lp.add_cols("X", 2, y=1, s=1, i=1, t=[1, 2], obj=[-1.0, 0.0], lb=0.0, ub=[math.inf, 1.0],
                 integer=False)
-    lp.add_row("R", "2a", "<=", 1.0, [0, 1], [-1.0, 1.0])
+    add_row(lp, "R", "2a", "<=", 1.0, [0, 1], [-1.0, 1.0])
     return lp
 
 
 def infeasible_lp():
     lp = hand_lp()
-    lp.add_row("MIN", "3b", ">=", 2.0, [0, 1, 2], [1.0, 1.0, 1.0])
+    add_row(lp, "MIN", "3b", ">=", 2.0, [0, 1, 2], [1.0, 1.0, 1.0])
     return lp
 
 
@@ -153,7 +153,7 @@ class TestSolveLp:
 
     def test_lower_bound_row_added(self):
         lp = hand_lp()
-        lp.add_row("DEMAND", "3b", ">=", 0.5, [0], [1.0])
+        add_row(lp, "DEMAND", "3b", ">=", 0.5, [0], [1.0])
         res = solve_lp(lp)
         assert res.status == LP_OPTIMAL
         assert res.objective == pytest.approx(-1.0)
@@ -168,7 +168,7 @@ class TestSolveLp:
 
     def test_infeasible_detected(self):
         lp = hand_lp()
-        lp.add_row("IMPOSSIBLE", "3b", ">=", 4.0, [0, 1, 2], [1.0, 1.0, 1.0])
+        add_row(lp, "IMPOSSIBLE", "3b", ">=", 4.0, [0, 1, 2], [1.0, 1.0, 1.0])
         assert solve_lp(lp).status == LP_INFEASIBLE
 
     def test_zero_cost_feasible_instance(self):
@@ -365,10 +365,10 @@ class TestServiceBlocks:
 
     def test_violated_row_without_columns_is_infeasible(self):
         lp = hand_lp()
-        lp.add_row("HOLDS", "3b", "<=", 0.0, [], [])
+        add_row(lp, "HOLDS", "3b", "<=", 0.0, [], [])
         assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).objective == -1.0
         lp = hand_lp()
-        lp.add_row("FAILS", "3b", ">=", 1.0, [], [])
+        add_row(lp, "FAILS", "3b", ">=", 1.0, [], [])
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
         assert (sol.status, sol.node_count) == (STATUS_INFEASIBLE, 0)
         assert solve_lp(lp).status == LP_INFEASIBLE
@@ -376,11 +376,11 @@ class TestServiceBlocks:
     def test_rows_added_after_a_solve_count(self):
         lp = hand_lp()
         assert lp.to_scipy()[1].shape[0] == 1
-        lp.add_row("DEMAND", "3b", ">=", 0.5, [0], [1.0])
+        add_row(lp, "DEMAND", "3b", ">=", 0.5, [0], [1.0])
         assert lp.to_scipy()[1].shape[0] == 2
         lp = hand_lp()
         assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).objective == -1.0
-        lp.add_row("FAILS", "3b", ">=", 1.0, [], [])
+        add_row(lp, "FAILS", "3b", ">=", 1.0, [], [])
         assert branch_and_bound(lp, SolverConfig(rel_gap=0.0)).status == STATUS_INFEASIBLE
 
     def test_block_lps_sum_to_monolithic_lp(self):
@@ -440,11 +440,11 @@ class TestServiceBlocks:
         a, b = col(1, 1, -5.0), col(1, 2, -4.0)
         c, d = col(2, 1, -3.0), col(2, 2, -3.0)
         e, f = col(3, 1, -2.0), col(3, 2, -3.0)
-        lp.add_row("K1", "2a", "<=", 4.0, [a, b], [3.0, 2.0])
-        lp.add_row("K2", "2a", "<=", 3.0, [c, d], [2.0, 2.0])
-        lp.add_row("K3", "2a", "<=", 4.0, [e, f], [2.0, 3.0])
+        add_row(lp, "K1", "2a", "<=", 4.0, [a, b], [3.0, 2.0])
+        add_row(lp, "K2", "2a", "<=", 3.0, [c, d], [2.0, 2.0])
+        add_row(lp, "K3", "2a", "<=", 4.0, [e, f], [2.0, 3.0])
         # Without this row the optimum is -11 (a, d, f).
-        lp.add_row("LINK", "2a", "<=", 1.0, [a, c, d], [1.0, 1.0, 1.0])
+        add_row(lp, "LINK", "2a", "<=", 1.0, [a, c, d], [1.0, 1.0, 1.0])
         # A row that spans two services makes the whole LP one block.
         assert solver._ServiceBlocks(lp).of_col.tolist() == [0] * 6
         sol = branch_and_bound(lp, SolverConfig(rel_gap=0.0))
@@ -565,7 +565,7 @@ class TestCheapestSplit:
         )
         lp = build(inst)
         x = schedule_heuristic(lp)
-        tracker = solver._LoadTracker(inst)
+        tracker = solver._LoadTracker(lp)
         total = 0.0
         for (y, i), rec in lp.needs.items():
             for j, s in enumerate(rec.orgs):
@@ -664,9 +664,7 @@ class TestHeuristicPricing:
                     for s in lp.needs[(y.id, need.service)].orgs:
                         inside = schedules[np.isin(schedules, domain).all(axis=1)]
                         row = rng.integers(0, 10, size=T + 1).astype(float).tolist()
-                        tracker = SimpleNamespace(row=lambda s_, i_, row=row: row)
-                        res = solver._greedy_schedule(tracker, s, need.service, need, gaps,
-                                                      dict.fromkeys(domain))
+                        res = solver._greedy_schedule(row, need, gaps, dict.fromkeys(domain))
                         checked[name] += 1
                         if not len(inside):
                             assert res is None
@@ -679,27 +677,34 @@ class TestHeuristicPricing:
         assert checked == {"micro": 426, "3081": 971}
 
     def test_cost_rows_equal_reference_marginal(self, micro_pool):
-        # Random commits of +1 and -1 unit-days; after each, every day of the
-        # committed (org, service) pair is priced at its load.
+        # Random commits of +1 and -1 unit-days on the triple days of the
+        # model's (org, service) pairs; after each, every triple day of the
+        # committed pair is priced at its load, and every other day is inf.
         rng = np.random.default_rng(5)
         for inst in micro_pool + [mixed_split_instance()]:
-            tracker = solver._LoadTracker(inst)
+            lp = build(inst)
+            tracker = solver._LoadTracker(lp)
             org_by_id = {o.id: o for o in inst.organizations}
-            pairs = [(o.id, i) for o in inst.organizations for i in sorted(o.offers)]
-            horizon = inst.horizon_T
+            days_of = {}
+            for s, i, t in lp.triples.keys.tolist():
+                days_of.setdefault((s, i), []).append(t)
+            pairs = sorted(days_of)
             loads = {}
             for _ in range(40):
                 s, i = pairs[rng.integers(len(pairs))]
-                days = sorted(rng.choice(np.arange(1, horizon + 1), size=rng.integers(1, horizon + 1),
+                triple_days = days_of[(s, i)]
+                days = sorted(rng.choice(triple_days, size=rng.integers(1, len(triple_days) + 1),
                                          replace=False).tolist())
                 can_remove = all(loads.get((s, i, t), 0) > 0 for t in days)
                 sign = -1 if can_remove and rng.random() < 0.3 else 1
                 tracker.commit(s, i, days, sign)
                 for t in days:
                     loads[(s, i, t)] = loads.get((s, i, t), 0) + sign
-                for t in range(1, horizon + 1):
+                row = tracker.row(s, i)
+                for t in triple_days:
                     load = loads.get((s, i, t), 0)
-                    assert tracker.row(s, i)[t] == reference_marginal(org_by_id[s], i, t, load)
+                    assert row[t] == reference_marginal(org_by_id[s], i, t, load)
+                assert all(row[t] == math.inf for t in range(len(row)) if t not in triple_days)
             assert max(loads.values()) >= 3
 
     def test_repair_equals_per_triple_split(self, micro_pool):
