@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 import click
 
-from . import __version__, scenarios
+from . import __version__, model, scenarios
 from .datagen import (
     DataFileError,
     GenerationConfig,
@@ -102,9 +102,25 @@ def _write_manifest(
     }
     if extra:
         doc.update(extra)
+    _write_json(path, doc)
+
+
+def _write_json(path: str, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _load_inputs(instance_path: str, solution_path: str | None = None):
+    """The validated instance and, given its path, the solution; bad input exits 3."""
+    try:
+        instance = load_instance(instance_path)
+        instance.validate()
+        solution = load_solution(solution_path) if solution_path else None
+    except BAD_INPUT as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
+    return instance, solution
 
 
 @click.group()
@@ -130,7 +146,7 @@ def main() -> None:
 @click.option("--ht-rate", type=float, default=0.295, show_default=True)
 @click.option("--psi-cost", type=float, default=1000.0, show_default=True)
 @click.option("--covid", is_flag=True, help="Pandemic arm: 400 youth, in-house capacity halved.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default="instance.json", show_default=True)
 @click.option("--data-dir", type=click.Path(exists=True), default=None,
               help="Override the bundled data tables (also $SHELTERPLAN_DATA).")
@@ -182,19 +198,15 @@ def generate(youth, days, theta, los_mean, los_sd, duration_scale, capacity_scal
 def build_cmd(instance_path, mps_out, triplets_out) -> None:
     """Build the model and report its size; optionally export MPS/triplets."""
     t0 = time.monotonic()
-    try:
-        instance = load_instance(instance_path)
-        instance.validate()
-    except BAD_INPUT as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    instance, _ = _load_inputs(instance_path)
     lp = build(instance)
     outputs = []
     if mps_out:
-        lp.write_mps(mps_out)
+        # Called through the module, where bench/tracing.py wraps it.
+        model.write_mps(lp, mps_out)
         outputs.append(mps_out)
     if triplets_out:
-        lp.write_triplets(triplets_out)
+        model.write_triplets(lp, triplets_out)
         outputs.append(triplets_out)
     kinds = lp.counts_by_kind()
     fams = lp.counts_by_family()
@@ -210,10 +222,10 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default="solution.json", show_default=True)
-@click.option("--gap", type=float, default=0.01, show_default=True,
+@click.option("--gap", type=click.FloatRange(min=0), default=0.01, show_default=True,
               help="Relative MIP-gap stopping tolerance.")
-@click.option("--time-limit", type=float, default=None)
-@click.option("--node-limit", type=int, default=1_000_000, show_default=True,
+@click.option("--time-limit", type=click.FloatRange(min=0), default=None)
+@click.option("--node-limit", type=click.IntRange(min=0), default=1_000_000, show_default=True,
               help="Most search nodes; a node is one service block's LP.")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
               help="Search workers; only 1, one node at a time.")
@@ -226,17 +238,12 @@ def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> 
         "time_limit": time_limit, "node_limit": node_limit,
         "threads": threads,
     }
-    try:
-        instance = load_instance(instance_path)
-        instance.validate()
-    except BAD_INPUT as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    instance, _ = _load_inputs(instance_path)
     lp = build(instance)
     config = SolverConfig(rel_gap=gap, time_limit=time_limit, node_limit=node_limit)
     outputs = []
     if mps_out:
-        lp.write_mps(mps_out)
+        model.write_mps(lp, mps_out)
         outputs.append(mps_out)
     solution = branch_and_bound(lp, config)
     if solution.status == STATUS_INFEASIBLE:
@@ -246,9 +253,7 @@ def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> 
     save_solution(solution, out)
     outputs.insert(0, out)
     verify_path = out + ".verify.json"
-    with open(verify_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(verify_path, report.to_dict())
     outputs.append(verify_path)
     _write_manifest(
         out + ".manifest.json", "solve", args, outputs,
@@ -273,19 +278,11 @@ def solve(instance_path, out, gap, time_limit, node_limit, threads, mps_out) -> 
 @click.option("--out", type=click.Path(), default=None)
 def verify_cmd(instance_path, solution_path, out) -> None:
     """Re-check a solution file against its instance, family by family."""
-    try:
-        instance = load_instance(instance_path)
-        instance.validate()
-        solution = load_solution(solution_path)
-    except BAD_INPUT as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    instance, solution = _load_inputs(instance_path, solution_path)
     report = verify(instance, solution)
     doc = report.to_dict()
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(out, doc)
     for fam, row in doc["families"].items():
         mark = "ok" if row["ok"] else f"VIOLATED at {row['first_violation']}"
         click.echo(f"  {fam}: {mark}")
@@ -370,13 +367,7 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
 def report(instance_path, solution_path, out_dir) -> None:
     """Emit the figure-level CSV bundles for a solved instance."""
     t0 = time.monotonic()
-    try:
-        instance = load_instance(instance_path)
-        instance.validate()
-        solution = load_solution(solution_path)
-    except BAD_INPUT as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    instance, solution = _load_inputs(instance_path, solution_path)
     paths = write_report_csvs(instance, solution, out_dir)
     _write_manifest(
         os.path.join(out_dir, "report.manifest.json"), "report",
@@ -390,12 +381,13 @@ def report(instance_path, solution_path, out_dir) -> None:
 @main.command()
 @click.option("--grid", "grid_name", type=click.Choice(["table5"]), default="table5",
               show_default=True)
-@click.option("--seeds", type=int, default=5, show_default=True, help="Replications per scenario.")
-@click.option("--seed-base", type=int, default=11, show_default=True)
+@click.option("--seeds", type=click.IntRange(min=1), default=5, show_default=True,
+              help="Replications per scenario.")
+@click.option("--seed-base", type=click.IntRange(min=0), default=11, show_default=True)
 @click.option("--single-seed", is_flag=True, help="One replication (figure-style output).")
 @click.option("--full-scale", is_flag=True,
               help="Full-scale parameters (500 youth, 180 days) instead of desk scale.")
-@click.option("--gap", type=float, default=0.01, show_default=True)
+@click.option("--gap", type=click.FloatRange(min=0), default=0.01, show_default=True)
 @click.option("--out-dir", type=click.Path(), default="scenarios_out", show_default=True)
 def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir) -> None:
     """Run the experiment grid and emit per-scenario reports."""

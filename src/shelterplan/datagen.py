@@ -261,17 +261,9 @@ def sample_arrival(rng: np.random.Generator, horizon_T: int) -> int:
     return int(rng.integers(1, horizon_T + 1))
 
 
-def sample_los(
-    rng: np.random.Generator,
-    config: GenerationConfig,
-    arrival: int = 1,
-    clamp: bool = True,
-) -> int:
-    """Length-of-stay draw, scaled by duration_scale, optionally horizon-clamped."""
-    raw = sample_los_raw(rng, config)
-    if not clamp:
-        return max(1, raw)
-    return max(1, min(raw, config.horizon_T - arrival + 1))
+def sample_los(rng: np.random.Generator, config: GenerationConfig, arrival: int) -> int:
+    """Length-of-stay draw, scaled by duration_scale, clamped to [1, T - arrival + 1]."""
+    return max(1, min(sample_los_raw(rng, config), config.horizon_T - arrival + 1))
 
 
 def sample_los_raw(rng: np.random.Generator, config: GenerationConfig) -> int:
@@ -397,8 +389,7 @@ def build_needs(
     intensity within a requested category is chosen uniformly among the
     levels at least one organization offers.
     """
-    los = sample_los_raw(rng, config)
-    duration = max(1, min(los, config.horizon_T - arrival + 1))
+    duration = sample_los(rng, config, arrival)
     needs = []
     for category in catalog.categories():
         rate = tables.needs_rates.get(category, 0.0)

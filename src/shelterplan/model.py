@@ -49,7 +49,7 @@ to [a, min(b + d, T)]; for a single-occurrence need just [a, b]; otherwise
 the full [a, min(b + d, T)]. W columns follow the O columns, and the W rows
 follow all other rows.
 
-The builder makes no Python object per nonzero or per column. Two records
+``build`` makes no Python object per nonzero or per column. Two records
 index the column table by arithmetic. ``lp.needs[(y, i)]`` is a
 ``NeedColumns(orgs, days, u, x, starts, w)``: for organization j (its
 position in ``orgs``), U is column u + j, X on days[p] is
@@ -58,7 +58,7 @@ a stay's starts, like its days, are consecutive days. ``lp.triples`` is a
 ``Triples(keys, x, start, e, o)`` of arrays: the used (s, i, t) sorted,
 the X columns of triple k in x[start[k]:start[k + 1]] (at least one), and
 its E and O columns e[k] = e[0] + k and o[k] = o[0] + k; its C2a row is
-row k. So a need's X columns are consecutive, and the builder emits each
+row k. So a need's X columns are consecutive, and ``build`` emits each
 row family as arrays through ``add_rows``: C2a first, in one call; per
 need C2c, C2d, C3b, C4a or C4b, the C4bg rows (each a rotation of the
 need's later days) and the C4c windows; per stay need C4bw, then C4bl and
@@ -314,14 +314,6 @@ class LinearProgram:
     def bounds_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return np.asarray(self.lb, dtype=float), np.asarray(self.ub, dtype=float)
 
-    # -- export -------------------------------------------------------------
-
-    def write_mps(self, path: str) -> None:
-        write_mps(self, path)
-
-    def write_triplets(self, path: str) -> None:
-        write_triplets(self, path)
-
 
 def reachable_days(need, horizon_T: int, periodic: bool, k: int) -> list[int]:
     """Days on which an occurrence of this need can fall.
@@ -362,218 +354,204 @@ def stay_starts(need, svc, orgs: list[int], days: list[int]) -> list[int]:
     return list(range(need.window_start_a, min(need.window_end_b, days[-1] - f + 1) + 1))
 
 
-class ModelBuilder:
-    """Builds the annotated sparse model for one instance."""
+def build(inst: ProblemInstance) -> LinearProgram:
+    """Construct the full annotated model for an instance."""
+    catalog = inst.services
+    lp = LinearProgram(inst)
+    org_by_id = {o.id: o for o in inst.organizations}
+    T = inst.horizon_T
 
-    def __init__(self, instance: ProblemInstance):
-        self.instance = instance
-        self.catalog = instance.services
+    # Enumerate admissible (youth, need, org, day) tuples first so that
+    # columns can be laid out in canonical (kind, y, s, i, t) order.
+    need_info = []  # (youth, need, svc, orgs, days)
+    for youth in inst.youths:
+        for need in youth.needs:
+            svc = catalog.get(need.service)
+            orgs = [org.id for org in inst.organizations
+                    if service_offered(org, need.service, catalog)
+                    and demographic_compatible(youth.demographics, org.accepts)]
+            days = reachable_days(need, T, svc.periodic, svc.flexibility_k)
+            need_info.append((youth, need, svc, orgs, days))
 
-    def admissible_orgs(self, youth, need) -> list[int]:
-        orgs = []
-        for org in self.instance.organizations:
-            if not service_offered(org, need.service, self.catalog):
-                continue
-            if not demographic_compatible(youth.demographics, org.accepts):
-                continue
-            orgs.append(org.id)
-        return orgs
+    u_first = [
+        lp.add_cols("U", len(orgs), y=youth.id, s=orgs, i=need.service, t=None, obj=0.0,
+                    lb=0.0, ub=1.0, integer=True).start
+        for youth, need, svc, orgs, days in need_info
+    ]
 
-    def build(self) -> LinearProgram:
-        inst = self.instance
-        lp = LinearProgram(inst)
-        org_by_id = {o.id: o for o in inst.organizations}
-        T = inst.horizon_T
+    # A need's X columns are consecutive, by organization and then by day.
+    x_first = []
+    n_u = lp.n_cols
+    for youth, need, svc, orgs, days in need_info:
+        i = need.service
+        x_first.append(lp.n_cols)
+        for s in orgs:
+            lp.add_cols("X", len(days), y=youth.id, s=s, i=i, t=days,
+                        obj=org_by_id[s].cost_assign_r.get(i, 0.0), lb=0.0, ub=1.0,
+                        integer=True)
 
-        # Enumerate admissible (youth, need, org, day) tuples first so that
-        # columns can be laid out in canonical (kind, y, s, i, t) order.
-        need_info = []  # (youth, need, svc, orgs, days)
-        for youth in inst.youths:
-            for need in youth.needs:
-                svc = self.catalog.get(need.service)
-                orgs = self.admissible_orgs(youth, need)
-                days = reachable_days(need, T, svc.periodic, svc.flexibility_k)
-                need_info.append((youth, need, svc, orgs, days))
+    # Used (s, i, t) triples in sorted order, each with its X columns.
+    s_of, i_of, t_of = (np.asarray(field[n_u:], dtype=np.int64)
+                        for field in (lp.col_s, lp.col_i, lp.col_t))
+    order = np.lexsort((t_of, i_of, s_of))
+    s_of, i_of, t_of = s_of[order], i_of[order], t_of[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (np.diff(s_of) != 0) | (np.diff(i_of) != 0) | (np.diff(t_of) != 0)
+    heads = np.flatnonzero(new)
+    keys = np.column_stack((s_of[heads], i_of[heads], t_of[heads]))
+    triples = keys.tolist()
+    x_sorted = order + n_u
+    cuts = np.append(heads, order.size)
 
-        u_first = [
-            lp.add_cols("U", len(orgs), y=youth.id, s=orgs, i=need.service, t=None, obj=0.0,
-                        lb=0.0, ub=1.0, integer=True).start
-            for youth, need, svc, orgs, days in need_info
-        ]
+    caps = [float(org_by_id[s].capacity(i, t)) for (s, i, t) in triples]
+    fields = dict(zip("sit", keys.T.tolist()))
+    e = lp.add_cols(
+        "E", len(triples), y=None, **fields,
+        obj=[org_by_id[s].cost_expand_gamma.get(i, 0.0) for (s, i, t) in triples],
+        lb=0.0, ub=[float(org_by_id[s].headroom(i) - c) for (s, i, t), c in zip(triples, caps)],
+        integer=True,
+    )
+    o = lp.add_cols(
+        "O", len(triples), y=None, **fields,
+        obj=[org_by_id[s].cost_overflow_lambda.get(i, 0.0) for (s, i, t) in triples],
+        lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
+    )
+    lp.triples = Triples(keys, x_sorted, cuts, np.arange(e.start, e.stop),
+                         np.arange(o.start, o.stop))
 
-        # A need's X columns are consecutive, by organization and then by day.
-        x_first = []
-        n_u = lp.n_cols
-        for youth, need, svc, orgs, days in need_info:
-            i = need.service
-            x_first.append(lp.n_cols)
+    # W columns of each stay need, by organization and then by start.
+    records = []
+    for (youth, need, svc, orgs, days), u, x in zip(need_info, u_first, x_first):
+        y, i = youth.id, need.service
+        starts = stay_starts(need, svc, orgs, days)
+        records.append(NeedColumns(orgs, days, u, x, starts, lp.n_cols))
+        if starts:
             for s in orgs:
-                lp.add_cols("X", len(days), y=youth.id, s=s, i=i, t=days,
-                            obj=org_by_id[s].cost_assign_r.get(i, 0.0), lb=0.0, ub=1.0,
-                            integer=True)
+                lp.add_cols("W", len(starts), y=y, s=s, i=i, t=starts, obj=0.0, lb=0.0,
+                            ub=1.0, integer=True)
+    lp.needs = {(youth.id, need.service): rec
+                for (youth, need, *_), rec in zip(need_info, records)}
 
-        # Used (s, i, t) triples in sorted order, each with its X columns.
-        s_of, i_of, t_of = (np.asarray(field[n_u:], dtype=np.int64)
-                            for field in (lp.col_s, lp.col_i, lp.col_t))
-        order = np.lexsort((t_of, i_of, s_of))
-        s_of, i_of, t_of = s_of[order], i_of[order], t_of[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = (np.diff(s_of) != 0) | (np.diff(i_of) != 0) | (np.diff(t_of) != 0)
-        heads = np.flatnonzero(new)
-        keys = np.column_stack((s_of[heads], i_of[heads], t_of[heads]))
-        triples = keys.tolist()
-        x_sorted = order + n_u
-        cuts = np.append(heads, order.size)
+    # (2a): per-day capacity on used triples, X columns then E and O;
+    # (2b) is E's upper bound.
+    sizes = np.diff(cuts)
+    ends = np.cumsum(sizes + 2)
+    cols = np.empty(order.size + 2 * len(triples), dtype=np.int64)
+    cols[np.arange(order.size) + 2 * np.repeat(np.arange(len(triples)), sizes)] = x_sorted
+    cols[ends - 2] = lp.triples.e
+    cols[ends - 1] = lp.triples.o
+    vals = np.ones(cols.size)
+    vals[ends - 2] = vals[ends - 1] = -1.0
+    lp.add_rows([f"C2a_s{s}_i{i}_t{t}" for (s, i, t) in triples], "2a", SENSE_LE, caps,
+                sizes + 2, cols, vals)
 
-        caps = [float(org_by_id[s].capacity(i, t)) for (s, i, t) in triples]
-        fields = dict(zip("sit", keys.T.tolist()))
-        e = lp.add_cols(
-            "E", len(triples), y=None, **fields,
-            obj=[org_by_id[s].cost_expand_gamma.get(i, 0.0) for (s, i, t) in triples],
-            lb=0.0, ub=[float(org_by_id[s].headroom(i) - c) for (s, i, t), c in zip(triples, caps)],
-            integer=True,
-        )
-        o = lp.add_cols(
-            "O", len(triples), y=None, **fields,
-            obj=[org_by_id[s].cost_overflow_lambda.get(i, 0.0) for (s, i, t) in triples],
-            lb=0.0, ub=float(max(len(inst.youths), 1)), integer=True,
-        )
-        lp.triples = Triples(keys, x_sorted, cuts, np.arange(e.start, e.stop),
-                             np.arange(o.start, o.stop))
+    # (2c)/(2d)/(3b)/(4a)/(4b)/(4c): per-need scheduling structure.
+    for (youth, need, svc, orgs, days), rec in zip(need_info, records):
+        y, i = youth.id, need.service
+        ucols = list(range(rec.u, rec.u + len(orgs)))
+        if ucols:
+            lp.add_rows([f"C2c_y{y}_i{i}"], "2c", SENSE_LE, [1.0], [len(ucols)], ucols,
+                        np.ones(len(ucols)))
+        # A stay need's W rows imply its 2d, 3b and 4b rows.
+        if not rec.starts:
+            _need_rows(lp, y, i, need, svc, orgs, np.asarray(days, dtype=np.int64),
+                       _by_org(rec.x, len(orgs), len(days)), ucols)
 
-        # W columns of each stay need, by organization and then by start.
-        records = []
-        for (youth, need, svc, orgs, days), u, x in zip(need_info, u_first, x_first):
-            y, i = youth.id, need.service
-            starts = stay_starts(need, svc, orgs, days)
-            records.append(NeedColumns(orgs, days, u, x, starts, lp.n_cols))
-            if starts:
-                for s in orgs:
-                    lp.add_cols("W", len(starts), y=y, s=s, i=i, t=starts, obj=0.0, lb=0.0,
-                                ub=1.0, integer=True)
-        lp.needs = {(youth.id, need.service): rec
-                    for (youth, need, *_), rec in zip(need_info, records)}
-
-        # (2a): per-day capacity on used triples, X columns then E and O;
-        # (2b) is E's upper bound.
-        sizes = np.diff(cuts)
-        ends = np.cumsum(sizes + 2)
-        cols = np.empty(order.size + 2 * len(triples), dtype=np.int64)
-        cols[np.arange(order.size) + 2 * np.repeat(np.arange(len(triples)), sizes)] = x_sorted
-        cols[ends - 2] = lp.triples.e
-        cols[ends - 1] = lp.triples.o
-        vals = np.ones(cols.size)
-        vals[ends - 2] = vals[ends - 1] = -1.0
-        lp.add_rows([f"C2a_s{s}_i{i}_t{t}" for (s, i, t) in triples], "2a", SENSE_LE, caps,
-                    sizes + 2, cols, vals)
-
-        # (2c)/(2d)/(3b)/(4a)/(4b)/(4c): per-need scheduling structure.
-        for (youth, need, svc, orgs, days), rec in zip(need_info, records):
-            y, i = youth.id, need.service
-            ucols = list(range(rec.u, rec.u + len(orgs)))
-            if ucols:
-                lp.add_rows([f"C2c_y{y}_i{i}"], "2c", SENSE_LE, [1.0], [len(ucols)], ucols,
-                            np.ones(len(ucols)))
-            # A stay need's W rows imply its 2d, 3b and 4b rows.
-            if not rec.starts:
-                self._need_rows(lp, y, i, need, svc, orgs, np.asarray(days, dtype=np.int64),
-                                _by_org(rec.x, len(orgs), len(days)), ucols)
-
-        # (4b)/(2d) for stay needs: X is a mixture of whole stays.
-        for (youth, need, svc, orgs, days), rec in zip(need_info, records):
-            if not rec.starts:
-                continue
-            y, i, f, starts = youth.id, need.service, need.frequency_f, rec.starts
-            X, W = _by_org(rec.x, len(orgs), len(days)), _by_org(rec.w, len(orgs), len(starts))
-            lp.add_rows([f"C4bw_y{y}_i{i}"], "4b", SENSE_EQ, [1.0], [W.size], W.T.ravel(),
-                        np.ones(W.size))
-            # Each X day equals the mass of the stays that cover it; days
-            # after the last start's stay get none. Days and starts are
-            # runs of consecutive days, so row t holds X(t), then W(t0) for
-            # t0 from max(first start, t - f + 1) to min(last start, t).
-            d = np.asarray(days, dtype=np.int64)
-            lo = np.maximum(d - f + 1, starts[0])
-            covering = np.maximum(np.minimum(d, starts[-1]) - lo + 1, 0)
-            pos = _positions(covering + 1)
-            is_x = pos == 0
-            offset = np.where(is_x, np.repeat(np.arange(d.size), covering + 1),
-                              np.repeat(lo - starts[0], covering + 1) + pos - 1)
-            vals = np.where(is_x, 1.0, -1.0)
-            for o, s in enumerate(orgs):
-                lp.add_rows(
-                    [f"C4bl_y{y}_s{s}_i{i}_t{t}" for t in days], "4b", SENSE_EQ, [0.0] * d.size,
-                    covering + 1, offset + np.where(is_x, X[0, o], W[0, o]), vals,
-                )
-                lp.add_rows(
-                    [f"C2dw_y{y}_s{s}_i{i}"], "2d", SENSE_LE, [0.0], [W.shape[0] + 1],
-                    np.append(W[:, o], rec.u + o), np.append(np.ones(W.shape[0]), -1.0),
-                )
-        return lp
-
-    @staticmethod
-    def _need_rows(lp: LinearProgram, y: int, i: int, need, svc, orgs: list[int], d: np.ndarray,
-                   X: np.ndarray, ucols: list[int]) -> None:
-        """The 2d, 3b, 4a or 4b, and gap rows of a need that is no stay.
-
-        ``d`` holds the need's days and ``X`` its (day, org) X columns.
-        """
-        T = lp.source_instance.horizon_T
-        a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
-        n_days, n_orgs = X.shape
-        if n_orgs:
+    # (4b)/(2d) for stay needs: X is a mixture of whole stays.
+    for (youth, need, svc, orgs, days), rec in zip(need_info, records):
+        if not rec.starts:
+            continue
+        y, i, f, starts = youth.id, need.service, need.frequency_f, rec.starts
+        X, W = _by_org(rec.x, len(orgs), len(days)), _by_org(rec.w, len(orgs), len(starts))
+        lp.add_rows([f"C4bw_y{y}_i{i}"], "4b", SENSE_EQ, [1.0], [W.size], W.T.ravel(),
+                    np.ones(W.size))
+        # Each X day equals the mass of the stays that cover it; days
+        # after the last start's stay get none. Days and starts are
+        # runs of consecutive days, so row t holds X(t), then W(t0) for
+        # t0 from max(first start, t - f + 1) to min(last start, t).
+        d = np.asarray(days, dtype=np.int64)
+        lo = np.maximum(d - f + 1, starts[0])
+        covering = np.maximum(np.minimum(d, starts[-1]) - lo + 1, 0)
+        pos = _positions(covering + 1)
+        is_x = pos == 0
+        offset = np.where(is_x, np.repeat(np.arange(d.size), covering + 1),
+                          np.repeat(lo - starts[0], covering + 1) + pos - 1)
+        vals = np.where(is_x, 1.0, -1.0)
+        for o, s in enumerate(orgs):
             lp.add_rows(
-                [f"C2d_y{y}_s{s}_i{i}" for s in orgs], "2d", SENSE_LE, [0.0] * n_orgs,
-                np.full(n_orgs, n_days + 1), np.vstack([X, ucols]).T.ravel(),
-                np.tile(np.append(np.ones(n_days), -float(T)), n_orgs),
+                [f"C4bl_y{y}_s{s}_i{i}_t{t}" for t in days], "4b", SENSE_EQ, [0.0] * d.size,
+                covering + 1, offset + np.where(is_x, X[0, o], W[0, o]), vals,
             )
-        window_x = X[(a <= d) & (d <= b)].T.ravel()
-        lp.add_rows([f"C3b_y{y}_i{i}"], "3b", SENSE_GE, [1.0], [window_x.size], window_x,
-                    np.ones(window_x.size))
-        all_x = X.T.ravel()
-        if not svc.periodic:
-            lp.add_rows([f"C4a_y{y}_i{i}"], "4a", SENSE_EQ, [float(f)], [all_x.size], all_x,
-                        np.ones(all_x.size))
-            return
-        lp.add_rows([f"C4b_y{y}_i{i}"], "4b", SENSE_EQ, [float(f)], [all_x.size], all_x,
-                    np.ones(all_x.size))
-        if f < 2:
-            return
-        omega, k = need.omega, svc.flexibility_k
+            lp.add_rows(
+                [f"C2dw_y{y}_s{s}_i{i}"], "2d", SENSE_LE, [0.0], [W.shape[0] + 1],
+                np.append(W[:, o], rec.u + o), np.append(np.ones(W.shape[0]), -1.0),
+            )
+    return lp
 
-        # Maximum gap: an occurrence with no successor within omega + k
-        # days must be the last one (no occurrence after it at all). Row r
-        # covers days r.. of the need: the tail days from next[r] on at +1,
-        # day r at +f, and the days before next[r] at -f, in that order.
-        nxt = np.searchsorted(d, d + omega + k, side="right")
-        n_rows = int(np.count_nonzero(nxt < n_days))  # a row needs a tail day
-        r = np.arange(n_rows)
-        length = n_days - r
-        pos = _positions(length)
-        # The entry at pos is day first + (pos + skip) mod n: the rotation
-        # of days r.. that starts at next[r], n - skip of them tail days.
-        first, n = np.repeat(r, length), np.repeat(length, length)
-        skip = np.repeat(nxt[:n_rows] - r, length)
-        day = first + (pos + skip) % n
-        tail = n - skip
-        sign = np.where(pos < tail, 1.0, np.where(pos == tail, float(f), -float(f)))
+
+def _need_rows(lp: LinearProgram, y: int, i: int, need, svc, orgs: list[int], d: np.ndarray,
+               X: np.ndarray, ucols: list[int]) -> None:
+    """The 2d, 3b, 4a or 4b, and gap rows of a need that is no stay.
+
+    ``d`` holds the need's days and ``X`` its (day, org) X columns.
+    """
+    T = lp.source_instance.horizon_T
+    a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
+    n_days, n_orgs = X.shape
+    if n_orgs:
         lp.add_rows(
-            [f"C4bg_y{y}_i{i}_t{t}" for t in d[:n_rows].tolist()], "4b", SENSE_LE,
-            [float(f)] * n_rows, length * n_orgs, X[day].ravel(), np.repeat(sign, n_orgs),
+            [f"C2d_y{y}_s{s}_i{i}" for s in orgs], "2d", SENSE_LE, [0.0] * n_orgs,
+            np.full(n_orgs, n_days + 1), np.vstack([X, ucols]).T.ravel(),
+            np.tile(np.append(np.ones(n_days), -float(T)), n_orgs),
         )
+    window_x = X[(a <= d) & (d <= b)].T.ravel()
+    lp.add_rows([f"C3b_y{y}_i{i}"], "3b", SENSE_GE, [1.0], [window_x.size], window_x,
+                np.ones(window_x.size))
+    all_x = X.T.ravel()
+    if not svc.periodic:
+        lp.add_rows([f"C4a_y{y}_i{i}"], "4a", SENSE_EQ, [float(f)], [all_x.size], all_x,
+                    np.ones(all_x.size))
+        return
+    lp.add_rows([f"C4b_y{y}_i{i}"], "4b", SENSE_EQ, [float(f)], [all_x.size], all_x,
+                np.ones(all_x.size))
+    if f < 2:
+        return
+    omega, k = need.omega, svc.flexibility_k
 
-        # Minimum gap: at most one occurrence per organization in any
-        # window of omega - k consecutive days (anchored at each day) that
-        # holds two days or more.
-        L = omega - k
-        if L >= 2 and n_orgs:
-            width = np.searchsorted(d, d + L - 1, side="right") - np.arange(n_days)
-            at = np.flatnonzero(width >= 2)
-            counts = np.repeat(width[at], n_orgs)
-            lp.add_rows(
-                [f"C4c_y{y}_s{s}_i{i}_t{t}" for t in d[at].tolist() for s in orgs], "4c",
-                SENSE_LE, [1.0] * counts.size, counts,
-                np.repeat(X[at].ravel(), counts) + _positions(counts), np.ones(int(counts.sum())),
-            )
+    # Maximum gap: an occurrence with no successor within omega + k
+    # days must be the last one (no occurrence after it at all). Row r
+    # covers days r.. of the need: the tail days from next[r] on at +1,
+    # day r at +f, and the days before next[r] at -f, in that order.
+    nxt = np.searchsorted(d, d + omega + k, side="right")
+    n_rows = int(np.count_nonzero(nxt < n_days))  # a row needs a tail day
+    r = np.arange(n_rows)
+    length = n_days - r
+    pos = _positions(length)
+    # The entry at pos is day first + (pos + skip) mod n: the rotation
+    # of days r.. that starts at next[r], n - skip of them tail days.
+    first, n = np.repeat(r, length), np.repeat(length, length)
+    skip = np.repeat(nxt[:n_rows] - r, length)
+    day = first + (pos + skip) % n
+    tail = n - skip
+    sign = np.where(pos < tail, 1.0, np.where(pos == tail, float(f), -float(f)))
+    lp.add_rows(
+        [f"C4bg_y{y}_i{i}_t{t}" for t in d[:n_rows].tolist()], "4b", SENSE_LE,
+        [float(f)] * n_rows, length * n_orgs, X[day].ravel(), np.repeat(sign, n_orgs),
+    )
+
+    # Minimum gap: at most one occurrence per organization in any
+    # window of omega - k consecutive days (anchored at each day) that
+    # holds two days or more.
+    L = omega - k
+    if L >= 2 and n_orgs:
+        width = np.searchsorted(d, d + L - 1, side="right") - np.arange(n_days)
+        at = np.flatnonzero(width >= 2)
+        counts = np.repeat(width[at], n_orgs)
+        lp.add_rows(
+            [f"C4c_y{y}_s{s}_i{i}_t{t}" for t in d[at].tolist() for s in orgs], "4c",
+            SENSE_LE, [1.0] * counts.size, counts,
+            np.repeat(X[at].ravel(), counts) + _positions(counts), np.ones(int(counts.sum())),
+        )
 
 
 def _by_org(first: int, n_orgs: int, n: int) -> np.ndarray:
@@ -585,11 +563,6 @@ def _positions(counts: np.ndarray) -> np.ndarray:
     """Each entry's position within its row, for rows of these lengths."""
     counts = np.asarray(counts, dtype=np.int64)
     return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-def build(instance: ProblemInstance) -> LinearProgram:
-    """Construct the full annotated model for an instance."""
-    return ModelBuilder(instance).build()
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ class ScenarioSpec:
     name: str
     overrides: Mapping[str, object]
     seeds: tuple[int, ...] = DEFAULT_SEEDS
-    covid: bool = False
 
     def config(self, base: GenerationConfig, seed: int) -> GenerationConfig:
         return replace(base, seed=seed, **dict(self.overrides))
@@ -64,9 +63,7 @@ def experiment_grid(
         ScenarioSpec("theta_high", {"abandonment_theta": 0.3}, seeds),
         ScenarioSpec("duration_low", {"duration_scale": 0.8}, seeds),
         ScenarioSpec("duration_high", {"duration_scale": 1.2}, seeds),
-        ScenarioSpec(
-            "covid", {"n_youth": covid_n, "capacity_scale": 0.5}, seeds, covid=True
-        ),
+        ScenarioSpec("covid", {"n_youth": covid_n, "capacity_scale": 0.5}, seeds),
     ]
 
 
@@ -369,7 +366,6 @@ def run_scenario(
     series_org_acc: dict[int, np.ndarray] = {}
     expansion_avgs = []
     expansion_org_acc: dict[int, list[float]] = {}
-    med_ref, med_total = 0, 0
     n_youth = 0
 
     for seed in spec.seeds:
@@ -423,10 +419,6 @@ def run_scenario(
                 acc[key] += v
         for key, v in bd["heatmap"].items():
             heatmap_total[key] = heatmap_total.get(key, 0) + v
-        med_row = bd["by_category"].get("Medical")
-        if med_row:
-            med_ref += med_row["referral"]
-            med_total += sum(med_row.values())
 
     n_seeds = max(len(spec.seeds), 1)
     max_mean, max_sd = _mean_sd(max_ofl)
@@ -455,7 +447,7 @@ def run_scenario(
         overflow_series_by_org={
             s: list(acc / n_seeds) for s, acc in sorted(series_org_acc.items())
         },
-        medical_referral_share=(med_ref / med_total) if med_total else None,
+        medical_referral_share=medical_referral_share({"by_category": breakdown_total}),
     )
 
 
@@ -480,13 +472,9 @@ def apply_base_deltas(reports: Sequence[ScenarioReport], base_name: str = "base"
 
 
 def run_grid(
-    specs: Sequence[ScenarioSpec] | None = None,
-    base: GenerationConfig = DESK_BASE,
-    solver_config: SolverConfig | None = None,
-    tables: DataTables | None = None,
+    specs: Sequence[ScenarioSpec], base: GenerationConfig, solver_config: SolverConfig
 ) -> list[ScenarioReport]:
-    specs = list(specs) if specs is not None else experiment_grid(base)
-    tables = tables or load_default_tables()
+    tables = load_default_tables()
     reports = [run_scenario(spec, base, solver_config, tables) for spec in specs]
     apply_base_deltas(reports)
     return reports

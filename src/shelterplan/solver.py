@@ -76,6 +76,10 @@ LP_LIMIT = "limit"
 LP_TOLERANCE = 1e-7
 # Distance from the nearest integer above which a column counts as fractional.
 INTEGRALITY_EPS = 1e-6
+# Most improvement passes of one schedule_heuristic call.
+HEURISTIC_PASSES = 3
+# Slack the verifier allows on a capacity, headroom or objective check.
+VERIFY_TOLERANCE = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -583,7 +587,6 @@ def _greedy_schedule(
 
 def schedule_heuristic(
     lp: LinearProgram,
-    passes: int = 3,
     initial: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]] | None = None,
     *,
     _deadline: float | None = None,
@@ -591,10 +594,10 @@ def schedule_heuristic(
     """Greedy per-need assignment with remove-and-reinsert improvement.
 
     An optional initial assignment (e.g. rounded from an LP relaxation)
-    seeds the search; improvement passes re-place each need against the
-    marginal cost of the current loads until a pass changes nothing, or
-    until a pass ends after ``time.monotonic()`` passed ``_deadline``. The
-    first pass always completes.
+    seeds the search; up to ``HEURISTIC_PASSES`` improvement passes re-place
+    each need against the marginal cost of the current loads until a pass
+    changes nothing, or until a pass ends after ``time.monotonic()`` passed
+    ``_deadline``. The first pass always completes.
     """
     inst = lp.source_instance
     catalog = inst.services
@@ -615,7 +618,7 @@ def schedule_heuristic(
             rec = lp.needs[(youth.id, need.service)]
             needs.append((youth, need, gaps, rec, {t: p for p, t in enumerate(rec.days)}))
 
-    for pass_no in range(passes):
+    for pass_no in range(HEURISTIC_PASSES):
         changed = False
         for youth, need, gaps, rec, position in needs:
             key = (youth.id, need.service)
@@ -947,7 +950,6 @@ def verify(
     instance: ProblemInstance,
     values: Mapping[str, float] | Solution,
     claimed_objective: float | None = None,
-    tolerance: float = 1e-6,
 ) -> VerifyReport:
     """Re-check all constraint families against the instance alone.
 
@@ -1053,11 +1055,11 @@ def verify(
         o = o_vals.get((s, i, t), 0.0)
         cap = org.capacity(i, t)
         mu = org.headroom(i)
-        if o < -tolerance:
+        if o < -VERIFY_TOLERANCE:
             flag("2a", f"s={s},i={i},t={t}")
-        if load > cap + e + o + tolerance:
+        if load > cap + e + o + VERIFY_TOLERANCE:
             flag("2a", f"s={s},i={i},t={t}")
-        if e < -tolerance or cap + e > mu + tolerance:
+        if e < -VERIFY_TOLERANCE or cap + e > mu + VERIFY_TOLERANCE:
             flag("2b", f"s={s},i={i},t={t}")
 
     # Objective recomputed from the instance cost data.
@@ -1078,9 +1080,7 @@ def verify(
     if claimed_objective is None:
         objective_ok = True
     else:
-        objective_ok = abs(obj - claimed_objective) <= max(
-            tolerance, 1e-6 * max(1.0, abs(obj))
-        )
+        objective_ok = abs(obj - claimed_objective) <= VERIFY_TOLERANCE * max(1.0, abs(obj))
 
     return VerifyReport(
         family_ok=family_ok,

@@ -6,6 +6,7 @@ traced run. Installing and restoring the tracer here catches that first.
 """
 
 import importlib.util
+import os
 import sys
 from pathlib import Path
 
@@ -58,3 +59,28 @@ def test_one_lp_per_node_under_tracer():
     lps = [span for span in tracer.spans if span.name == "solver.lp" and span.parent == bnb]
     assert sol.node_count == 4
     assert len(lps) == sol.node_count
+
+
+def test_tracer_times_the_mps_export(tmp_path):
+    # cli calls model.write_mps through the module, so the tracer's wrap
+    # times the export and records the size of the file it wrote.
+    from click.testing import CliRunner
+
+    from shelterplan.cli import main
+
+    runner = CliRunner()
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    with runner.isolated_filesystem(temp_dir=tmp_path):
+        generate = ["generate", "--youth", "12", "--days", "30", "--bed-scale", "0.1",
+                    "--seed", "7", "--out", "inst.json"]
+        assert runner.invoke(main, generate).exit_code == 0
+        try:
+            tracing.install(tracer, shelterplan)
+            result = runner.invoke(main, ["solve", "--instance", "inst.json", "--out", "s.json",
+                                          "--threads", "1", "--mps-out", "m.mps"])
+        finally:
+            tracer.restore()
+        assert result.exit_code == 0, result.output
+        (export,) = [span for span in tracer.spans if span.name == "model.write_mps"]
+        assert export.attrs["bytes"] == os.path.getsize("m.mps")

@@ -241,6 +241,28 @@ class TestSolve:
             assert result.exit_code == 2
             assert not os.path.exists("s.json")
 
+    @pytest.mark.parametrize("args", [
+        ["solve", "--gap", "-1"],
+        ["solve", "--node-limit", "-3"],
+        ["solve", "--time-limit", "-3"],
+        ["scenario", "--gap", "-1"],
+        ["scenario", "--seeds", "0"],
+        ["scenario", "--seed-base", "-1"],
+        ["generate", "--seed", "-1"],
+    ])
+    def test_out_of_range_number_is_usage_error(self, runner, tmp_path, args):
+        outputs = {
+            "solve": ["--instance", "inst.json", "--out", "s.json", "--mps-out", "m.mps"],
+            "scenario": ["--out-dir", "grid"],
+            "generate": ["--out", "other.json"],
+        }[args[0]]
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            assert runner.invoke(main, GEN_ARGS).exit_code == 0
+            before = sorted(os.listdir("."))
+            result = runner.invoke(main, args + outputs)
+            assert result.exit_code == 2, result.output
+            assert sorted(os.listdir(".")) == before
+
 
 class TestMalformedInput:
     """A wrongly typed field in an input file is a data error (exit 3)."""

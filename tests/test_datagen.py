@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -299,6 +300,15 @@ class TestReproducibility:
         a = instance_to_json(generate_instance(config, tables))
         b = instance_to_json(generate_instance(config, tables))
         assert a == b
+
+    def test_generated_bytes_pinned(self, tables):
+        # A desk instance of the tree pool, with the default abandonment
+        # (theta 0.2), so clamped and shortened stays both occur.
+        config = GenerationConfig(n_youth=30, horizon_T=60, bed_scale=0.1, seed=3081)
+        text = instance_to_json(generate_instance(config, tables))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "921f5b608e69e948bf5969bcb20383d49726e384838a95665d21fe7d43c32036"
+        )
 
     def test_youth_prefix_shared_across_population_sizes(self, tables):
         small = generate_instance(

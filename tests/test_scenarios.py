@@ -229,7 +229,5 @@ class TestScenarioRuns:
             "base", "youth_low", "youth_high", "theta_low", "theta_high",
             "duration_low", "duration_high", "covid",
         ]
-        covid = specs[-1]
-        assert covid.covid
-        assert covid.overrides["capacity_scale"] == 0.5
-        assert covid.overrides["n_youth"] == 40
+        # The pandemic arm is defined by its overrides alone.
+        assert specs[-1].overrides == {"n_youth": 40, "capacity_scale": 0.5}

@@ -292,12 +292,12 @@ class TestBranchAndBound:
         assert np.all(A_ub @ x <= b_ub + 1e-6)
         assert np.allclose(A_eq @ x, b_eq, rtol=0.0, atol=1e-6)
 
-    def test_heuristic_deadline_ends_after_first_pass(self):
+    def test_heuristic_deadline_ends_after_first_pass(self, monkeypatch):
         _, lp = desk_lp()
-        full = schedule_heuristic(lp, passes=1)
-        cut = schedule_heuristic(lp, passes=3, _deadline=-math.inf)
-        assert np.array_equal(full, cut)
-        assert not np.array_equal(schedule_heuristic(lp, passes=3), cut)
+        cut = schedule_heuristic(lp, _deadline=-math.inf)
+        assert not np.array_equal(schedule_heuristic(lp), cut)
+        monkeypatch.setattr(solver, "HEURISTIC_PASSES", 1)
+        assert np.array_equal(schedule_heuristic(lp), cut)
 
     def test_time_limit_inside_root_lp_keeps_incumbent(self, monkeypatch):
         # After the heuristic, each clock reading advances half the limit:
