@@ -63,6 +63,14 @@ EXIT_DATA = 3
 EXIT_LIMIT = 4
 EXIT_VERIFY = 5
 
+
+def _not_nan(ctx, param, value):
+    """``value``; NaN, which passes every ``click.FloatRange`` check, is a usage error."""
+    if value is not None and not value >= 0:
+        raise click.BadParameter(f"{value} is not a number >= 0.")
+    return value
+
+
 # What loading or validating a malformed input file raises: DomainError,
 # DataFileError and json.JSONDecodeError are ValueErrors, a wrongly typed
 # field gives a TypeError, a missing one a KeyError.
@@ -222,9 +230,9 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default="solution.json", show_default=True)
-@click.option("--gap", type=click.FloatRange(min=0), default=0.01, show_default=True,
-              help="Relative MIP-gap stopping tolerance.")
-@click.option("--time-limit", type=click.FloatRange(min=0), default=None)
+@click.option("--gap", type=click.FloatRange(min=0), callback=_not_nan, default=0.01,
+              show_default=True, help="Relative MIP-gap stopping tolerance.")
+@click.option("--time-limit", type=click.FloatRange(min=0), callback=_not_nan, default=None)
 @click.option("--node-limit", type=click.IntRange(min=0), default=1_000_000, show_default=True,
               help="Most search nodes; a node is one service block's LP.")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
@@ -387,7 +395,8 @@ def report(instance_path, solution_path, out_dir) -> None:
 @click.option("--single-seed", is_flag=True, help="One replication (figure-style output).")
 @click.option("--full-scale", is_flag=True,
               help="Full-scale parameters (500 youth, 180 days) instead of desk scale.")
-@click.option("--gap", type=click.FloatRange(min=0), default=0.01, show_default=True)
+@click.option("--gap", type=click.FloatRange(min=0), callback=_not_nan, default=0.01,
+              show_default=True)
 @click.option("--out-dir", type=click.Path(), default="scenarios_out", show_default=True)
 def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir) -> None:
     """Run the experiment grid and emit per-scenario reports."""

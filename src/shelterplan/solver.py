@@ -10,7 +10,8 @@ loads, it gives each need the cheapest schedule the model admits (f days
 with X columns, the first in [a, b], consecutive ones omega - k (at least
 1) to omega + k days apart if periodic), the earliest among ties: by its
 start when that fixes the days (f == 1 or k == 0, as for stays), else by
-a dynamic program over (occurrence, day).
+a dynamic program over (occurrence, day). Once no root LP is left, it
+runs again, each need seeded from the root LP points (``x_lp``).
 
 Every row of the model involves one service, so the model is separable by
 service block and the search keeps one tree per block: a node is one
@@ -101,8 +102,11 @@ class SolverConfig:
     node_limit: int = 1_000_000
 
     def __post_init__(self) -> None:
-        if self.rel_gap < 0:
-            raise ValueError("rel_gap must be >= 0")
+        # Written so that NaN, for which every comparison is false, fails too.
+        if not self.rel_gap >= 0:
+            raise ValueError("rel_gap must be a number >= 0")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be a number >= 0")
 
 
 @dataclass
@@ -520,7 +524,7 @@ class _LoadTracker:
 
 
 def _greedy_schedule(
-    row: list[float],
+    row: list[float] | Mapping[int, float],
     need,
     gaps: tuple[int, int],
     domain: Mapping[int, object],
@@ -530,13 +534,13 @@ def _greedy_schedule(
     A schedule is f days of ``domain`` (keyed by day, in increasing order),
     the first in [a, b] and each next one lo to hi days later, where
     ``gaps`` = (lo, hi). Its cost is the sum of its days' entries in
-    ``row`` (indexed by day), added in day order. When a start fixes
-    the schedule (f == 1 or lo == hi), each start is priced, and ties go to
-    the earliest. Otherwise a dynamic program finds it: occurrence j on day
-    t costs row[t] plus the least cost of occurrence j - 1 on a day in
-    [t - hi, t - lo], a sliding-window minimum over the days occurrence
-    j - 1 can fall on. Ties go to the earliest last day, then to the
-    earliest day before each chosen one.
+    ``row`` (indexed by day; only the days of ``domain`` are read), added
+    in day order. When a start fixes the schedule (f == 1 or lo == hi),
+    each start is priced, and ties go to the earliest. Otherwise a dynamic
+    program finds it: occurrence j on day t costs row[t] plus the least
+    cost of occurrence j - 1 on a day in [t - hi, t - lo], a sliding-window
+    minimum over the days occurrence j - 1 can fall on. Ties go to the
+    earliest last day, then to the earliest day before each chosen one.
     """
     a, b, f = need.window_start_a, need.window_end_b, need.frequency_f
     lo, hi = gaps
@@ -587,36 +591,44 @@ def _greedy_schedule(
 
 def schedule_heuristic(
     lp: LinearProgram,
-    initial: Mapping[tuple[int, int], tuple[int, tuple[int, ...]]] | None = None,
+    x_lp: np.ndarray | None = None,
     *,
     _deadline: float | None = None,
 ) -> np.ndarray:
     """Greedy per-need assignment with remove-and-reinsert improvement.
 
-    An optional initial assignment (e.g. rounded from an LP relaxation)
-    seeds the search; up to ``HEURISTIC_PASSES`` improvement passes re-place
-    each need against the marginal cost of the current loads until a pass
-    changes nothing, or until a pass ends after ``time.monotonic()`` passed
-    ``_deadline``. The first pass always completes.
+    An LP point ``x_lp`` seeds each need, stays included, at the first
+    organization with the largest U, on the days ``_greedy_schedule`` picks
+    on the row -X there (a rounding in the spirit of RENS); a need without
+    a schedule there stays unseeded. Up to ``HEURISTIC_PASSES`` passes then
+    re-place each need against the marginal cost of the current loads until
+    a pass changes nothing, or until a pass ends after ``time.monotonic()``
+    passed ``_deadline``. The first pass always completes.
     """
     inst = lp.source_instance
     catalog = inst.services
     tracker = _LoadTracker(lp)
-    chosen: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    if initial:
-        for key, (s, days) in initial.items():
-            chosen[key] = (s, days)
-            tracker.commit(s, key[1], days, sign=1)
 
-    # Once per call: each need's gaps, columns, and position of each X day.
+    # Once per call: each need's gaps, columns, position of each X day and seed.
     needs = []
+    chosen: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
     for youth in inst.youths:
         for need in youth.needs:
             svc, omega = catalog.get(need.service), need.omega
             k = svc.flexibility_k
             gaps = (max(omega - k, 1), omega + k) if svc.periodic else (1, inst.horizon_T)
             rec = lp.needs[(youth.id, need.service)]
-            needs.append((youth, need, gaps, rec, {t: p for p, t in enumerate(rec.days)}))
+            position = {t: p for p, t in enumerate(rec.days)}
+            needs.append((youth, need, gaps, rec, position))
+            if x_lp is None or not rec.orgs:
+                continue
+            j = int(np.argmax(x_lp[rec.u:rec.u + len(rec.orgs)]))
+            first = rec.x + j * len(rec.days)
+            row = dict(zip(rec.days, (-x_lp[first:first + len(rec.days)]).tolist()))
+            res = _greedy_schedule(row, need, gaps, position)
+            if res is not None:
+                chosen[(youth.id, need.service)] = (rec.orgs[j], res[1])
+                tracker.commit(rec.orgs[j], need.service, res[1])
 
     for pass_no in range(HEURISTIC_PASSES):
         changed = False
@@ -657,26 +669,6 @@ def schedule_heuristic(
             # Starts are consecutive days.
             x[rec.w + j * len(rec.starts) + days[0] - rec.starts[0]] = 1.0
     return repair_expansion(lp, x)
-
-
-def _stays_from_lp(
-    lp: LinearProgram, x: np.ndarray
-) -> dict[tuple[int, int], tuple[int, tuple[int, ...]]]:
-    """Round the W mass of each stay need to its heaviest stay."""
-    initial: dict[tuple[int, int], tuple[int, tuple[int, ...]]] = {}
-    for youth in lp.source_instance.youths:
-        for need in youth.needs:
-            i = need.service
-            rec = lp.needs[(youth.id, i)]
-            n = len(rec.starts)
-            if n:
-                s, t0, _ = max(
-                    ((s, t0, rec.w + j * n + q)
-                     for j, s in enumerate(rec.orgs) for q, t0 in enumerate(rec.starts)),
-                    key=lambda e: (x[e[2]], -e[0], -e[1]),
-                )
-                initial[(youth.id, i)] = (s, tuple(range(t0, t0 + need.frequency_f)))
-    return initial
 
 
 # ---------------------------------------------------------------------------
@@ -728,8 +720,7 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     """
     config = config or SolverConfig()
     inst = lp.source_instance
-    t_start = time.monotonic()
-    deadline = t_start + config.time_limit if config.time_limit is not None else None
+    deadline = time.monotonic() + config.time_limit if config.time_limit is not None else None
     root_lb, root_ub = lp.bounds_arrays()
     int_mask = np.asarray(lp.is_integer, dtype=bool)
     cost = np.asarray(lp.obj, dtype=float)
@@ -754,12 +745,11 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             best_x, best_obj = xr, obj
 
     def heuristic_incumbent(x_lp: np.ndarray | None = None) -> None:
-        """Offer the heuristic's point, seeded by ``x_lp``'s stays; a rejected point raises."""
+        """Offer the heuristic's point, seeded by ``x_lp``; a rejected point raises."""
         if inst is None or not inst.youths:
             return
-        initial = None if x_lp is None else _stays_from_lp(lp, x_lp)
         try:
-            x = schedule_heuristic(lp, initial=initial, _deadline=deadline)
+            x = schedule_heuristic(lp, x_lp, _deadline=deadline)
         except SolverError:
             # No greedy schedule exists (hand-crafted instance); let the
             # search discover infeasibility or a solution on its own.
@@ -768,6 +758,8 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
 
     if lp.n_cols > 0 and not (deadline is not None and time.monotonic() > deadline):
         heuristic_incumbent()
+    # Root LP points over the first incumbent (or zeros); None once they seed the heuristic.
+    seed: np.ndarray | None = best_x.copy() if best_x is not None else np.zeros(lp.n_cols)
 
     # Integral points of single blocks, kept until every block has one
     # while there is no incumbent.
@@ -783,12 +775,6 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
     def closed(value: float, b: int) -> bool:
         """Whether an LP value of block b cannot improve its incumbent part."""
         return value >= part(b) * (1.0 - 1e-12) - 1e-9
-
-    def with_block(cols: np.ndarray, xb: np.ndarray) -> np.ndarray:
-        """The incumbent (zeros without one) with ``cols`` set to ``xb``."""
-        x = best_x.copy() if best_x is not None else np.zeros(lp.n_cols)
-        x[cols] = xb
-        return x
 
     seq = itertools.count()
     # One heap per block of (bound, -seq, patch dict block position ->
@@ -823,17 +809,21 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
         if best_obj < math.inf and (best_obj - bound) / max(abs(best_obj), 1e-9) <= config.rel_gap:
             status = STATUS_GAP
             break
+        # Unsolved roots (the only entries without a patch) go first, lowest
+        # block first, then seed one heuristic call; after them, the block
+        # whose incumbent part lies furthest above its bound.
+        roots = [b for b in open_blocks if not heaps[b][0][2]]
+        if seed is not None and not roots:
+            heuristic_incumbent(seed)
+            seed = None
+            continue
         if node_count >= config.node_limit:
             status = STATUS_NODES
             break
-        if config.time_limit is not None and time.monotonic() - t_start > config.time_limit:
+        if deadline is not None and time.monotonic() > deadline:
             status = STATUS_TIME
             break
 
-        # Unsolved roots first (a root is the only entry without a patch),
-        # lowest block first; then the block whose incumbent part lies
-        # furthest above its bound.
-        roots = [b for b in open_blocks if not heaps[b][0][2]]
         b = roots[0] if roots else max(open_blocks, key=lambda b: (part(b) - bounds[b], -b))
         _, _, patch = entry = heapq.heappop(heaps[b])
         cols, c, matrix = blocks.parts[b]
@@ -852,19 +842,19 @@ def branch_and_bound(lp: LinearProgram, config: SolverConfig | None = None) -> S
             continue
         if res.status == LP_UNBOUNDED:
             raise SolverError("LP relaxation unbounded; model bounds missing")
+        x = res.x
+        if seed is not None and not patch:
+            seed[cols] = x
         if closed(res.objective, b):
             continue
-        x = res.x
-        if node_count == 1:
-            heuristic_incumbent(with_block(cols, x))
-            if closed(res.objective, b):
-                continue
         j = _select_branch_var(lp, cols, x, int_mask[cols])
         if j is None:
             if best_x is None:
                 found[b] = x
             else:
-                try_incumbent(repair_expansion(lp, with_block(cols, x)))
+                x_new = best_x.copy()
+                x_new[cols] = x
+                try_incumbent(repair_expansion(lp, x_new))
             continue
         v = float(x[j])
         children = [{**patch, j: (lb[j], float(math.floor(v)))},

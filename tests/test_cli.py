@@ -249,8 +249,14 @@ class TestSolve:
         ["scenario", "--seeds", "0"],
         ["scenario", "--seed-base", "-1"],
         ["generate", "--seed", "-1"],
+        # NaN passes every range comparison. The node limit, and a grid that
+        # is never run, keep a regression from searching without end.
+        ["solve", "--gap", "nan", "--node-limit", "4"],
+        ["solve", "--time-limit", "nan", "--node-limit", "4"],
+        ["scenario", "--gap", "nan"],
     ])
-    def test_out_of_range_number_is_usage_error(self, runner, tmp_path, args):
+    def test_out_of_range_number_is_usage_error(self, runner, tmp_path, monkeypatch, args):
+        monkeypatch.setattr(cli, "run_grid", lambda *a, **kw: pytest.fail("the grid ran"))
         outputs = {
             "solve": ["--instance", "inst.json", "--out", "s.json", "--mps-out", "m.mps"],
             "scenario": ["--out-dir", "grid"],

@@ -193,6 +193,12 @@ class TestSolveLp:
 
 
 class TestBranchAndBound:
+    @pytest.mark.parametrize("field", ["rel_gap", "time_limit"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_config_refuses_negative_or_nan(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a number >= 0"):
+            SolverConfig(**{field: value})
+
     def test_oracle_agreement_sample(self, micro_pool):
         for inst in micro_pool[:12]:
             bf = brute_force(inst)
@@ -511,22 +517,33 @@ def tree_pool_instance(seed):
 
 
 class TestTreePool:
-    # The sums of the per-block optima of scipy's HiGHS MIP, found as in
-    # test_cut_short_search_brackets_block_optima and pinned here.
-    @pytest.mark.parametrize("seed, optimum", [
-        (3026, 10142.0), (3045, 12611.0), (3081, 11961.0), (3088, 10696.0),
-        (3108, 11241.0), (3112, 12460.0), (3114, 9619.0), (3120, 9616.0),
-    ])
-    def test_four_node_search_brackets_optimum(self, seed, optimum):
+    # Per instance: the sum of the per-block optima of scipy's HiGHS MIP,
+    # found as in test_cut_short_search_brackets_block_optima and pinned
+    # here; the incumbent of the search when only the stays were seeded from
+    # an LP point (the bed block's root, at node 1), which the search may
+    # not exceed; and whether the search proves optimality.
+    CASES = [
+        (3026, 10142.0, 10173.0, False), (3045, 12611.0, 12616.0, False),
+        (3081, 11961.0, 11975.0, True), (3088, 10696.0, 10727.0, False),
+        (3108, 11241.0, 11248.0, True), (3112, 12460.0, 12480.0, True),
+        (3114, 9619.0, 9619.0, True), (3120, 9616.0, 9627.0, False),
+    ]
+
+    @pytest.mark.parametrize("seed, optimum, before, proven", CASES,
+                             ids=[f"{seed}-{optimum}" for seed, optimum, *_ in CASES])
+    def test_four_node_search_brackets_optimum(self, seed, optimum, before, proven):
         inst = tree_pool_instance(seed)
         sol = branch_and_bound(build(inst), SolverConfig(rel_gap=0.0, node_limit=4))
         assert sol.bound <= optimum + 1e-6
         assert optimum <= sol.objective + 1e-6
+        assert sol.objective <= before
+        assert (sol.status == STATUS_OPTIMAL) == proven
         assert verify(inst, sol).ok
 
     def test_each_incumbent_is_repaired_once(self, monkeypatch):
         # Both incumbents of 3081 come from the heuristic, which repairs
-        # its own point.
+        # its own point: the first call, and the call seeded from every
+        # block's root LP point, which proves the sum of the block optima.
         calls = []
         real = solver.repair_expansion
         monkeypatch.setattr(
@@ -534,7 +551,7 @@ class TestTreePool:
         )
         sol = branch_and_bound(build(tree_pool_instance(3081)),
                                SolverConfig(rel_gap=0.0, node_limit=4))
-        assert sol.objective == 11975.0
+        assert (sol.status, sol.objective) == (STATUS_OPTIMAL, 11961.0)
         assert len(calls) == 2
 
 
@@ -731,27 +748,50 @@ class TestHeuristicPricing:
 
     def test_heuristic_output_pinned(self):
         # Digests of the heuristic's x on TREE_POOL instance 3081: the first
-        # greedy call, and the guided call of node 1, which starts from the
-        # stays of the bed block's root LP point written into the first
-        # incumbent and improves it (11995 -> 11975). Both were recorded when
-        # each need other than a stay or a single occurrence got its exact
-        # cheapest schedule, which moved days at equal cost.
+        # greedy call, and two calls seeded from LP points written into the
+        # first incumbent. The bed block's root alone improves it
+        # (11995 -> 11975); every costly block's root, as the search seeds
+        # it, reaches the sum of the block optima (11961). The first two
+        # were recorded when each need other than a stay or a single
+        # occurrence got its exact cheapest schedule, which moved days at
+        # equal cost.
         lp = build(tree_pool_instance(3081))
         first = schedule_heuristic(lp)
         assert hashlib.sha256(first.tobytes()).hexdigest() == (
             "d0cf6a82a9fc6944fcf1f92795af938b52b7af77368ffaf0b535c72ab5a0359e"
         )
-        cols, c, matrix = solver._ServiceBlocks(lp).parts[0]
-        assert {lp.col_i[j] for j in cols} == {1}
+        parts = solver._ServiceBlocks(lp).parts
+        costly = [part for part in parts if part[1] @ first[part[0]] > 0]
+        assert len(costly) == 4 and costly[0] is parts[0]
+        assert {lp.col_i[j] for j in parts[0][0]} == {1}
         lb, ub = lp.bounds_arrays()
-        x_root = first.copy()
-        x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
-        guided = schedule_heuristic(lp, initial=solver._stays_from_lp(lp, x_root))
-        assert hashlib.sha256(guided.tobytes()).hexdigest() == (
+
+        def seeded(blocks):
+            x_root = first.copy()
+            for cols, c, matrix in blocks:
+                x_root[cols] = solver.linprog(c, **matrix, lb=lb[cols], ub=ub[cols]).x
+            return schedule_heuristic(lp, x_root)
+
+        bed_root, every_root = seeded(costly[:1]), seeded(costly)
+        assert hashlib.sha256(bed_root.tobytes()).hexdigest() == (
             "2fd9e85e486b66fff3273443cfb614c781bc57c5a96dba38746c5534c1987857"
         )
+        assert hashlib.sha256(every_root.tobytes()).hexdigest() == (
+            "f1b419ac18a18f7e3c7783c5dfe26b02bd5c1829a374a18d4b1307a847446c62"
+        )
         assert float(lp.obj @ first) == 11995.0
-        assert float(lp.obj @ guided) == 11975.0
+        assert float(lp.obj @ bed_root) == 11975.0
+        assert float(lp.obj @ every_root) == 11961.0
+
+    @pytest.mark.parametrize("seed", [3008, 3118, 3081, 3120])
+    def test_heuristic_output_is_its_own_seed(self, seed):
+        # DESK_POOL (3008, 3118) and TREE_POOL (3081, 3120) instances, which
+        # share one generation config. Seeded with its own integral point,
+        # every need starts where the heuristic left it, and no pass moves it.
+        lp = build(tree_pool_instance(seed))
+        x = schedule_heuristic(lp)
+        assert np.array_equal(schedule_heuristic(lp, x), x)
+
 
 class TestVerifier:
     @pytest.fixture()
