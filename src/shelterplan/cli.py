@@ -40,6 +40,7 @@ from .scenarios import (
     DESK_BASE,
     FULL_BASE,
     _overflow_series,
+    _write_csv,
     bed_sources,
     expansion_percentages,
     experiment_grid,
@@ -64,10 +65,10 @@ EXIT_LIMIT = 4
 EXIT_VERIFY = 5
 
 
-def _not_nan(ctx, param, value):
-    """``value``; NaN, which passes every ``click.FloatRange`` check, is a usage error."""
-    if value is not None and not value >= 0:
-        raise click.BadParameter(f"{value} is not a number >= 0.")
+def _finite(ctx, param, value):
+    """``value``; NaN and infinity pass ``click.FloatRange(min=0)`` but are usage errors."""
+    if value is not None and not 0 <= value < float("inf"):
+        raise click.BadParameter(f"{value} is not a finite number >= 0.")
     return value
 
 
@@ -138,7 +139,8 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--youth", type=int, default=None, help="Number of arriving youth.")
+@click.option("--youth", type=int, default=500, show_default=True,
+              help="Number of arriving youth.")
 @click.option("--days", type=int, default=180, show_default=True, help="Horizon length in days.")
 @click.option("--theta", type=float, default=0.2, show_default=True, help="Abandonment fraction.")
 @click.option("--los-mean", type=float, default=60.0, show_default=True)
@@ -153,28 +155,22 @@ def main() -> None:
 @click.option("--immigrant-rate", type=float, default=0.10, show_default=True)
 @click.option("--ht-rate", type=float, default=0.295, show_default=True)
 @click.option("--psi-cost", type=float, default=1000.0, show_default=True)
-@click.option("--covid", is_flag=True, help="Pandemic arm: 400 youth, in-house capacity halved.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--out", type=click.Path(), default="instance.json", show_default=True)
 @click.option("--data-dir", type=click.Path(exists=True), default=None,
               help="Override the bundled data tables (also $SHELTERPLAN_DATA).")
 def generate(youth, days, theta, los_mean, los_sd, duration_scale, capacity_scale,
              idle_fraction, bed_scale, bed_headroom_fraction, immigrant_rate,
-             ht_rate, psi_cost, covid, seed, out, data_dir) -> None:
+             ht_rate, psi_cost, seed, out, data_dir) -> None:
     """Generate a seeded problem instance as a JSON document."""
     t0 = time.monotonic()
-    if covid:
-        youth = 400 if youth is None else youth
-        capacity_scale = 0.5
-    if youth is None:
-        youth = 500
     args = {
         "youth": youth, "days": days, "theta": theta, "los_mean": los_mean,
         "los_sd": los_sd, "duration_scale": duration_scale,
         "capacity_scale": capacity_scale, "idle_fraction": idle_fraction,
         "bed_scale": bed_scale, "bed_headroom_fraction": bed_headroom_fraction,
         "immigrant_rate": immigrant_rate,
-        "ht_rate": ht_rate, "psi_cost": psi_cost, "covid": covid, "seed": seed,
+        "ht_rate": ht_rate, "psi_cost": psi_cost, "seed": seed,
     }
     try:
         config = GenerationConfig(
@@ -230,9 +226,9 @@ def build_cmd(instance_path, mps_out, triplets_out) -> None:
 @main.command()
 @click.option("--instance", "instance_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default="solution.json", show_default=True)
-@click.option("--gap", type=click.FloatRange(min=0), callback=_not_nan, default=0.01,
+@click.option("--gap", type=click.FloatRange(min=0), callback=_finite, default=0.01,
               show_default=True, help="Relative MIP-gap stopping tolerance.")
-@click.option("--time-limit", type=click.FloatRange(min=0), callback=_not_nan, default=None)
+@click.option("--time-limit", type=click.FloatRange(min=0), callback=_finite, default=None)
 @click.option("--node-limit", type=click.IntRange(min=0), default=1_000_000, show_default=True,
               help="Most search nodes; a node is one service block's LP.")
 @click.option("--threads", type=click.IntRange(1, 1), default=1, show_default=True,
@@ -301,13 +297,6 @@ def verify_cmd(instance_path, solution_path, out) -> None:
     click.echo("verification passed")
 
 
-def _write_csv(path: str, rows: list[list]) -> None:
-    import csv as _csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        _csv.writer(fh).writerows(rows)
-
-
 def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     """The figure-level data tables for one solved instance."""
     os.makedirs(out_dir, exist_ok=True)
@@ -315,7 +304,7 @@ def write_report_csvs(instance, solution, out_dir: str) -> list[str]:
     categories = list(instance.services.categories())
 
     # Looked up on the module, where bench/tracing.py wraps it.
-    parsed = scenarios._solution_tables(instance, solution)
+    parsed = scenarios._solution_tables(solution)
     beds = bed_sources(instance, solution, parsed)
     rows = [["organization", "kind", "existing", "extra", "overflow", "incompatibility"]]
     for org in instance.organizations:
@@ -387,22 +376,18 @@ def report(instance_path, solution_path, out_dir) -> None:
 
 
 @main.command()
-@click.option("--grid", "grid_name", type=click.Choice(["table5"]), default="table5",
-              show_default=True)
 @click.option("--seeds", type=click.IntRange(min=1), default=5, show_default=True,
               help="Replications per scenario.")
 @click.option("--seed-base", type=click.IntRange(min=0), default=11, show_default=True)
-@click.option("--single-seed", is_flag=True, help="One replication (figure-style output).")
 @click.option("--full-scale", is_flag=True,
               help="Full-scale parameters (500 youth, 180 days) instead of desk scale.")
-@click.option("--gap", type=click.FloatRange(min=0), callback=_not_nan, default=0.01,
+@click.option("--gap", type=click.FloatRange(min=0), callback=_finite, default=0.01,
               show_default=True)
 @click.option("--out-dir", type=click.Path(), default="scenarios_out", show_default=True)
-def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir) -> None:
+def scenario(seeds, seed_base, full_scale, gap, out_dir) -> None:
     """Run the experiment grid and emit per-scenario reports."""
     t0 = time.monotonic()
-    n_seeds = 1 if single_seed else seeds
-    seed_tuple = tuple(range(seed_base, seed_base + n_seeds))
+    seed_tuple = tuple(range(seed_base, seed_base + seeds))
     base = FULL_BASE if full_scale else DESK_BASE
     specs = experiment_grid(base, seed_tuple)
     os.makedirs(out_dir, exist_ok=True)
@@ -410,7 +395,7 @@ def scenario(grid_name, seeds, seed_base, single_seed, full_scale, gap, out_dir)
     paths = write_scenario_outputs(reports, out_dir)
     _write_manifest(
         os.path.join(out_dir, "scenario.manifest.json"), "scenario",
-        {"grid": grid_name, "full_scale": full_scale, "seeds": list(seed_tuple), "gap": gap},
+        {"full_scale": full_scale, "seeds": list(seed_tuple), "gap": gap},
         paths, time.monotonic() - t0, "ok",
     )
     for rep in reports:

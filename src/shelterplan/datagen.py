@@ -605,22 +605,13 @@ def sample_population(
     tables: DataTables,
     catalog: ServiceCatalog,
     offered_levels: Mapping[str, Sequence[int]],
-    collect_stats: bool = False,
-) -> tuple[tuple[YouthProfile, ...], dict | None]:
-    """Generate the youth population (pre-abandonment) and optional tallies."""
+) -> tuple[YouthProfile, ...]:
+    """Generate the youth population (pre-abandonment)."""
     youths = []
-    stats: dict[str, list] | None = None
-    if collect_stats:
-        stats = {
-            "arrivals": [],
-            "raw_los": [],
-            "fine": [],
-            "need_categories": [],
-        }
     for j in range(config.n_youth):
         rng = _youth_stream(config.seed, j)
         arrival = sample_arrival(rng, config.horizon_T)
-        fine, profile = sample_demographics(rng, tables, config)
+        _, profile = sample_demographics(rng, tables, config)
         needs = build_needs(rng, tables, config, catalog, arrival, offered_levels)
         youth = YouthProfile(
             id=j + 1,
@@ -630,20 +621,7 @@ def sample_population(
             abandoned=False,
         )
         youths.append(youth)
-        if stats is not None:
-            stats["arrivals"].append(arrival)
-            stats["fine"].append(fine)
-            cats = {catalog.get(n.service).category for n in needs}
-            stats["need_categories"].append(cats)
-    if stats is not None:
-        # Raw (unclamped) LOS draws replayed from the same substreams: the
-        # youth stream draws arrival, demographics, then the LOS normal.
-        for j in range(config.n_youth):
-            rng = _youth_stream(config.seed, j)
-            sample_arrival(rng, config.horizon_T)
-            sample_demographics(rng, tables, config)
-            stats["raw_los"].append(sample_los_raw(rng, config))
-    return tuple(youths), stats
+    return tuple(youths)
 
 
 def generate_instance(
@@ -655,7 +633,7 @@ def generate_instance(
     catalog = build_catalog(tables)
     organizations = build_organizations(config, tables, catalog)
     offered = offered_levels_by_category(catalog, organizations)
-    youths, _ = sample_population(config, tables, catalog, offered)
+    youths = sample_population(config, tables, catalog, offered)
     youths = apply_abandonment(
         _abandonment_stream(config.seed), youths, config.abandonment_theta, config.horizon_T
     )

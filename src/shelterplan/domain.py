@@ -226,12 +226,6 @@ class YouthProfile:
         if len(bed_needs) != 1:
             raise DomainError(f"youth {self.id} must have exactly one bed need")
 
-    def need_for(self, service_id: int) -> ServiceNeed:
-        for need in self.needs:
-            if need.service == service_id:
-                return need
-        raise UnknownServiceError(f"youth {self.id} has no need for service {service_id}")
-
 
 @dataclass(frozen=True)
 class OrganizationProfile:
@@ -266,6 +260,11 @@ class OrganizationProfile:
                     f"org {self.id}: capacity exceeds headroom for service {sid}"
                 )
             r = self.cost_assign_r.get(sid, 0.0)
+            rates = (r, self.cost_expand_gamma.get(sid, 0.0),
+                     self.cost_overflow_lambda.get(sid, 0.0))
+            # The solver's incumbent repair assumes no unit can earn by being used.
+            if not all(v >= 0.0 for v in rates):
+                raise DomainError(f"org {self.id}: negative cost rate for service {sid}")
             if self.kind == HOUSING and r != 0.0:
                 raise DomainError("in-house assignment must have zero cost")
             if self.kind == REFERRAL and r <= 0.0:
@@ -341,18 +340,6 @@ class ProblemInstance:
 
     def housing_orgs(self) -> tuple[OrganizationProfile, ...]:
         return tuple(o for o in self.organizations if o.kind == HOUSING)
-
-    def org_by_id(self, org_id: int) -> OrganizationProfile:
-        for org in self.organizations:
-            if org.id == org_id:
-                return org
-        raise DomainError(f"unknown organization id {org_id}")
-
-    def youth_by_id(self, youth_id: int) -> YouthProfile:
-        for youth in self.youths:
-            if youth.id == youth_id:
-                return youth
-        raise DomainError(f"unknown youth id {youth_id}")
 
 
 # ---------------------------------------------------------------------------

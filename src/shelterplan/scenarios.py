@@ -13,6 +13,7 @@ solver internals, so any serialized solution can be re-reported.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 from dataclasses import dataclass, replace
@@ -34,22 +35,18 @@ from .solver import Solution, SolverConfig, branch_and_bound, verify
 DESK_BASE = GenerationConfig(n_youth=50, horizon_T=60, bed_scale=0.1)
 FULL_BASE = GenerationConfig(n_youth=500, horizon_T=180, bed_scale=1.0)
 
-DEFAULT_SEEDS = (11, 12, 13, 14, 15)
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     overrides: Mapping[str, object]
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    seeds: tuple[int, ...]
 
     def config(self, base: GenerationConfig, seed: int) -> GenerationConfig:
         return replace(base, seed=seed, **dict(self.overrides))
 
 
-def experiment_grid(
-    base: GenerationConfig = DESK_BASE, seeds: Sequence[int] = DEFAULT_SEEDS
-) -> list[ScenarioSpec]:
+def experiment_grid(base: GenerationConfig, seeds: Sequence[int]) -> list[ScenarioSpec]:
     """The sensitivity grid: base plus one-axis deviations and the pandemic arm."""
     seeds = tuple(seeds)
     n = base.n_youth
@@ -72,7 +69,7 @@ def experiment_grid(
 # ---------------------------------------------------------------------------
 
 
-def _solution_tables(instance: ProblemInstance, solution: Solution):
+def _solution_tables(solution: Solution):
     """The X, E and O values of at least 0.5, rounded, by structured keys.
 
     Each metric below parses the solution with it, unless its caller passes
@@ -89,7 +86,7 @@ def _overflow_series(instance: ProblemInstance, solution: Solution, parsed=None)
 
     Every series comes from one parse of the solution.
     """
-    _, _, o = parsed or _solution_tables(instance, solution)
+    _, _, o = parsed or _solution_tables(solution)
     series = {key: np.zeros(instance.horizon_T)
               for key in [None] + [org.id for org in instance.organizations]}
     for (s, i, t), v in o.items():
@@ -114,7 +111,7 @@ def bed_sources(instance: ProblemInstance, solution: Solution, parsed=None) -> d
     a day are assigned to youth in id order. Youth whose bed sits at the
     catch-all organization count as incompatible.
     """
-    x, e, o = parsed or _solution_tables(instance, solution)
+    x, e, o = parsed or _solution_tables(solution)
     org_by_id = {org.id: org for org in instance.organizations}
     bed_days: dict[tuple[int, int], list[int]] = {}
     youth_org: dict[int, int] = {}
@@ -164,7 +161,7 @@ def expansion_percentages(instance: ProblemInstance, solution: Solution, parsed=
     Also returns each housing organization's ``peak_extra`` and
     ``peak_overflow`` beds.
     """
-    _, e, o = parsed or _solution_tables(instance, solution)
+    _, e, o = parsed or _solution_tables(solution)
     org_ids = [org.id for org in instance.housing_orgs()]
     peak_extra, peak_overflow = _bed_peaks(e, org_ids), _bed_peaks(o, org_ids)
     out: dict[int, float | None] = {}
@@ -197,7 +194,7 @@ def service_source_breakdown(
     is extra in-house units plus referral units attributed to the youth's
     bed organization.
     """
-    x, e, o = parsed or _solution_tables(instance, solution)
+    x, e, o = parsed or _solution_tables(solution)
     org_by_id = {org.id: org for org in instance.organizations}
     categories = instance.services.categories()
     breakdown = {
@@ -250,7 +247,7 @@ def service_source_breakdown(
 
 def referral_cost(instance: ProblemInstance, solution: Solution, parsed=None) -> float:
     """Total assignment cost incurred at referral providers."""
-    x, _, _ = parsed or _solution_tables(instance, solution)
+    x, _, _ = parsed or _solution_tables(solution)
     org_by_id = {org.id: org for org in instance.organizations}
     total = 0.0
     for (y, s, i, t), v in x.items():
@@ -350,13 +347,11 @@ def _mean_sd(values: Sequence[float]) -> tuple[float, float]:
 
 def run_scenario(
     spec: ScenarioSpec,
-    base: GenerationConfig = DESK_BASE,
-    solver_config: SolverConfig | None = None,
-    tables: DataTables | None = None,
+    base: GenerationConfig,
+    solver_config: SolverConfig,
+    tables: DataTables,
 ) -> ScenarioReport:
     """Generate, solve, verify and aggregate one scenario over its seeds."""
-    solver_config = solver_config or SolverConfig()
-    tables = tables or load_default_tables()
     max_ofl, mean_ofl, ofl_cost, ref_cost, objectives = [], [], [], [], []
     statuses, gaps = [], []
     bed_total: dict = {"per_org": {}, "incompatibility": 0, "served": 0}
@@ -384,7 +379,7 @@ def run_scenario(
         gaps.append(solution.gap)
         objectives.append(solution.objective)
 
-        parsed = _solution_tables(instance, solution)
+        parsed = _solution_tables(solution)
         by_org = _overflow_series(instance, solution, parsed)
         series = by_org[None]
         max_ofl.append(float(series.max()) if series.size else 0.0)
@@ -451,9 +446,9 @@ def run_scenario(
     )
 
 
-def apply_base_deltas(reports: Sequence[ScenarioReport], base_name: str = "base") -> None:
+def apply_base_deltas(reports: Sequence[ScenarioReport]) -> None:
     """Fill percentage changes of overflow/referral cost against the base run."""
-    base = next((r for r in reports if r.name == base_name), None)
+    base = next((r for r in reports if r.name == "base"), None)
     if base is None:
         return
     for rep in reports:
@@ -517,10 +512,13 @@ def comparison_rows(reports: Sequence[ScenarioReport]) -> list[list]:
     return rows
 
 
+def _write_csv(path: str, rows: Sequence[Sequence]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_scenario_outputs(reports: Sequence[ScenarioReport], out_dir: str) -> list[str]:
     """One JSON per scenario plus the combined comparison CSV; returns paths."""
-    import csv as _csv
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for rep in reports:
@@ -530,7 +528,6 @@ def write_scenario_outputs(reports: Sequence[ScenarioReport], out_dir: str) -> l
             fh.write("\n")
         paths.append(path)
     cmp_path = os.path.join(out_dir, "comparison.csv")
-    with open(cmp_path, "w", newline="", encoding="utf-8") as fh:
-        _csv.writer(fh).writerows(comparison_rows(reports))
+    _write_csv(cmp_path, comparison_rows(reports))
     paths.append(cmp_path)
     return paths

@@ -1,6 +1,6 @@
 """Shared fixtures: hand-built instances, the random micro-instance pool, the
-whole-model LP relaxation, name and row helpers for hand-built models, and
-line-at-a-time reference writers."""
+whole-model LP relaxation, name and row helpers for hand-built models,
+line-at-a-time reference writers, and the generator's per-youth draws."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from shelterplan import solver
+from shelterplan import datagen, solver
 from shelterplan.domain import (
     HOUSING,
     INCOMPATIBILITY,
@@ -60,6 +60,28 @@ def parse_variable_name(name):
     for part in rest.split("_"):
         indices[part[:1]] = int(part[1:])
     return kind, indices
+
+
+def population_stats(config, tables, catalog, offered_levels):
+    """Per youth of ``datagen.sample_population``: arrival day, fine demographic
+    categories, raw (unclamped) LOS draw and the set of need categories.
+
+    The fine categories and raw LOS are replayed from the same substreams:
+    each youth's stream draws arrival, demographics, then the LOS normal.
+    """
+    youths = datagen.sample_population(config, tables, catalog, offered_levels)
+    fine, raw_los = [], []
+    for j in range(config.n_youth):
+        rng = datagen._youth_stream(config.seed, j)
+        datagen.sample_arrival(rng, config.horizon_T)
+        fine.append(datagen.sample_demographics(rng, tables, config)[0])
+        raw_los.append(datagen.sample_los_raw(rng, config))
+    return {
+        "arrivals": [y.arrival_l for y in youths],
+        "fine": fine,
+        "raw_los": raw_los,
+        "need_categories": [{catalog.get(n.service).category for n in y.needs} for y in youths],
+    }
 
 
 def _fmt(v):

@@ -40,7 +40,8 @@ from shelterplan.solver import (
 )
 
 from conftest import (
-    bed_catalog, bed_need, make_instance, org, parse_variable_name, psi_org, youth,
+    bed_catalog, bed_need, make_instance, org, parse_variable_name, population_stats, psi_org,
+    youth,
 )
 
 
@@ -179,6 +180,8 @@ def test_criterion_2_verifier_soundness():
         k for k, v in tight_sol.values.items() if k.startswith("O_") and v >= 1.0
     )
     assert tight_o_keys, "tight base must overflow"
+    loose_orgs = {o.id: o for o in loose.organizations}
+    loose_needs_3 = {y.id: n for y in loose.youths for n in y.needs if n.service == 3}
     loose_triples = sorted(
         {
             (idx["s"], idx["i"], idx["t"])
@@ -207,7 +210,7 @@ def test_criterion_2_verifier_soundness():
                 expected = f"s={idx['s']},i={idx['i']},t={idx['t']}"
             elif family == "2b":
                 s, i, t = loose_triples[int(rng.integers(0, len(loose_triples)))]
-                orgp = loose.org_by_id(s)
+                orgp = loose_orgs[s]
                 over = orgp.headroom(i) - orgp.capacity(i, t) + 1
                 base_vals[f"E_s{s}_i{i}_t{t}"] = float(over)
                 expected = f"s={s},i={i},t={t}"
@@ -235,7 +238,7 @@ def test_criterion_2_verifier_soundness():
                 base_vals[f"U_y{y}_s3_i{i}"] = 1.0
                 expected = f"y={y},s=3,i={i}"
             elif family == "3a":
-                need = loose.youth_by_id(y).need_for(3)
+                need = loose_needs_3[y]
                 occ = _occurrences(base_vals, y, 3)
                 t, s, k = occ[-1]
                 del base_vals[k]
@@ -245,7 +248,7 @@ def test_criterion_2_verifier_soundness():
             elif family == "3b":
                 # Push every in-window occurrence past the start window so
                 # the need has no valid start left.
-                need = loose.youth_by_id(y).need_for(3)
+                need = loose_needs_3[y]
                 for t, s, k in _occurrences(base_vals, y, 3):
                     if t > need.window_end_b:
                         continue
@@ -314,9 +317,7 @@ def test_criterion_4_generator_fidelity():
     catalog = datagen.build_catalog(tables)
     organizations = datagen.build_organizations(config, tables, catalog)
     offered = datagen.offered_levels_by_category(catalog, organizations)
-    _, st_ = datagen.sample_population(
-        config, tables, catalog, offered, collect_stats=True
-    )
+    st_ = population_stats(config, tables, catalog, offered)
     n = config.n_youth
     fine = st_["fine"]
 

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -108,17 +109,6 @@ class TestGenerate:
             assert manifest["instance_seed"] == 7
             assert "inst.json" in manifest["outputs"]
 
-    def test_covid_flag_sets_levels(self, runner, tmp_path):
-        with runner.isolated_filesystem(temp_dir=tmp_path):
-            result = runner.invoke(
-                main, ["generate", "--covid", "--days", "20", "--seed", "1",
-                       "--out", "c.json"],
-            )
-            assert result.exit_code == 0, result.output
-            manifest = json.load(open("c.json.manifest.json"))
-            assert manifest["args"]["youth"] == 400
-            assert manifest["args"]["capacity_scale"] == 0.5
-
     def test_same_flags_identical_digests(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
             assert runner.invoke(main, GEN_ARGS).exit_code == 0
@@ -130,6 +120,18 @@ class TestGenerate:
         with runner.isolated_filesystem(temp_dir=tmp_path):
             result = runner.invoke(main, ["generate", "--theta", "1.5", "--out", "x.json"])
             assert result.exit_code == 3
+
+    def test_negative_cost_rate_is_data_error(self, runner, tmp_path):
+        # The catch-all's rates are psi, psi and 2 psi; incumbent repair
+        # assumes every rate is at least 0.
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            result = runner.invoke(
+                main, ["generate", "--youth", "3", "--days", "5", "--bed-scale", "0.1",
+                       "--psi-cost", "-5", "--out", "neg.json"],
+            )
+            assert result.exit_code == 3, result.output
+            assert "error:" in result.output
+            assert os.listdir(".") == []
 
 
 class TestSolve:
@@ -254,6 +256,10 @@ class TestSolve:
         ["solve", "--gap", "nan", "--node-limit", "4"],
         ["solve", "--time-limit", "nan", "--node-limit", "4"],
         ["scenario", "--gap", "nan"],
+        # Infinity passes the range check too, and JSON cannot write it.
+        ["solve", "--gap", "inf", "--node-limit", "4"],
+        ["solve", "--time-limit", "inf", "--node-limit", "4"],
+        ["scenario", "--gap", "inf"],
     ])
     def test_out_of_range_number_is_usage_error(self, runner, tmp_path, monkeypatch, args):
         monkeypatch.setattr(cli, "run_grid", lambda *a, **kw: pytest.fail("the grid ran"))
@@ -303,6 +309,19 @@ class TestMalformedInput:
         result = runner.invoke(main, ["solve", "--instance", "bad.json", "--out", "s.json"])
         assert result.exit_code == 3, result.output
         assert "error:" in result.output
+
+    @pytest.mark.parametrize("rate", ["cost_assign_r", "cost_expand_gamma",
+                                      "cost_overflow_lambda"])
+    @pytest.mark.parametrize("command", ["solve", "verify", "report"])
+    def test_negative_cost_rate(self, runner, solved, command, rate):
+        doc = json.load(open("inst.json"))
+        catch_all = next(o for o in doc["organizations"] if o["kind"] == "incompatibility")
+        catch_all[rate]["1"] = -5.0
+        json.dump(doc, open("bad.json", "w"))
+        args = ["--out", "s.json"] if command == "solve" else ["--solution", "sol.json"]
+        result = runner.invoke(main, [command, "--instance", "bad.json", *args])
+        assert result.exit_code == 3, result.output
+        assert "negative cost rate" in result.output
 
     @pytest.mark.parametrize("command", ["verify", "report"])
     def test_bad_instance_horizon_with_solution(self, runner, solved, command):
@@ -399,7 +418,7 @@ class TestBuildAndReport:
 class TestScenario:
     def test_single_seed_grid(self, runner, tmp_path):
         with runner.isolated_filesystem(temp_dir=tmp_path):
-            result = runner.invoke(main, ["scenario", "--single-seed", "--out-dir", "sc"])
+            result = runner.invoke(main, ["scenario", "--seeds", "1", "--out-dir", "sc"])
             assert result.exit_code == 0, result.output
             files = os.listdir("sc")
             assert "comparison.csv" in files
@@ -434,7 +453,7 @@ class TestScenario:
         manifests = []
         with runner.isolated_filesystem(temp_dir=tmp_path):
             for flags in ([], ["--full-scale"]):
-                result = runner.invoke(main, ["scenario", "--single-seed", "--out-dir", "sc",
+                result = runner.invoke(main, ["scenario", "--seeds", "1", "--out-dir", "sc",
                                               *flags])
                 assert result.exit_code == 0, result.output
                 assert not [f for f in os.listdir("sc") if f.endswith(".mps")]
@@ -467,3 +486,34 @@ class TestDeterminism:
                 )
                 digests.append([digest(f) for f in files])
         assert digests[0] == digests[1]
+
+
+class TestReadme:
+    README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+    def documented_flags(self):
+        """(command, flag) for every flag of README's command block and of its
+        "Useful flags" list, where a code span's flags belong to the command it
+        starts with or else to the last command named earlier in its item."""
+        text = open(self.README, encoding="utf-8").read()
+        block = text.split("## Command line", 1)[1].split("```")[1]
+        shown = []
+        for line in block.splitlines():
+            if line.startswith("shelterplan "):
+                command = line.split()[1]
+                shown += [(command, flag) for flag in re.findall(r"--[a-z][a-z-]*", line)]
+        useful = text.split("Useful flags:", 1)[1].split("\n\n")[1]
+        for item in useful.split("\n- "):
+            command = None
+            for span in re.findall(r"`([^`]+)`", item):
+                if span.split()[0] in main.commands:
+                    command = span.split()[0]
+                shown += [(command, flag) for flag in re.findall(r"--[a-z][a-z-]*", span)]
+        return shown
+
+    def test_documented_flags_exist(self):
+        shown = self.documented_flags()
+        assert {command for command, _ in shown} == set(main.commands)
+        for command, flag in shown:
+            opts = {opt for param in main.commands[command].params for opt in param.opts}
+            assert flag in opts, (command, flag)

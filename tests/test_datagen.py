@@ -18,7 +18,6 @@ from shelterplan.datagen import (
     sample_arrival,
     sample_los,
     sample_los_raw,
-    sample_population,
     sample_window,
     scale_capacity,
 )
@@ -31,7 +30,7 @@ from shelterplan.domain import (
     instance_to_json,
 )
 
-from conftest import bed_need, youth
+from conftest import bed_need, population_stats, youth
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +145,7 @@ class TestNeeds:
         catalog = build_catalog(tables)
         orgs = build_organizations(config, tables, catalog)
         offered = offered_levels_by_category(catalog, orgs)
-        _, st_ = sample_population(config, tables, catalog, offered, collect_stats=True)
+        st_ = population_stats(config, tables, catalog, offered)
         frac = 100.0 * sum(1 for c in st_["need_categories"] if "Childcare" in c) / 10000
         assert abs(frac - 2.5) < 0.5
 

@@ -337,11 +337,12 @@ class TestBuild:
         lp = build(inst)
         orgs = {o.id: o for o in inst.organizations}
         youths = {y.id: y for y in inst.youths}
+        needs = {(y.id, n.service): n for y in inst.youths for n in y.needs}
         for kind, y_id, s, i, t in zip(lp.col_kind, lp.col_y, lp.col_s, lp.col_i, lp.col_t):
             if kind != "X":
                 continue
             y = youths[y_id]
-            need = y.need_for(i)
+            need = needs[(y_id, i)]
             assert service_offered(orgs[s], i, inst.services)
             assert demographic_compatible(y.demographics, orgs[s].accepts)
             assert need.window_start_a <= t <= min(

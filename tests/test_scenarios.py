@@ -138,7 +138,7 @@ class TestServiceBreakdown:
         # or the catch-all, never from a housing organization.
         from shelterplan.scenarios import _solution_tables
 
-        x, _, _ = _solution_tables(inst, sol)
+        x, _, _ = _solution_tables(sol)
         housing = {o.id for o in inst.housing_orgs()}
         assert not any(
             s in housing and i in med_mh for (y, s, i, t) in x
@@ -203,7 +203,7 @@ class TestScenarioRuns:
         )
         spec = ScenarioSpec("base", {}, seeds=(11, 12))
         base_cfg = datagen.GenerationConfig(n_youth=12, horizon_T=30, bed_scale=0.1)
-        rep = run_scenario(spec, base_cfg, SolverConfig())
+        rep = run_scenario(spec, base_cfg, SolverConfig(), datagen.load_default_tables())
         apply_base_deltas([rep])
         assert rep.overflow_cost_change_pct == 0.0
         assert calls == [1, 1]
